@@ -172,7 +172,6 @@ def cmd_run(args) -> int:
     scenario, scenario_name = _resolve_scenario(args.scenario)
     only_targets = _resolve_targets(args.targets)
 
-    dataset = dataio.load_dataset(dataset_path)
     options = gap.RunOptions(
         sharing_fraction=args.sharing,
         relax_intervals=args.relax_intervals,
@@ -180,18 +179,13 @@ def cmd_run(args) -> int:
     )
     operator = None
     if not args.no_operator:
-        defaults = gap.OperatorInvestment()
+        overrides = {"fixed_per_year_eur": args.operator_fixed_per_year,
+                     "wireless_per_year_eur": args.operator_wireless_per_year,
+                     "horizon_years": args.horizon_years}
         operator = gap.OperatorInvestment(
-            fixed_per_year_eur=(defaults.fixed_per_year_eur
-                                if args.operator_fixed_per_year is None
-                                else args.operator_fixed_per_year),
-            wireless_per_year_eur=(defaults.wireless_per_year_eur
-                                   if args.operator_wireless_per_year is None
-                                   else args.operator_wireless_per_year),
-            horizon_years=(defaults.horizon_years if args.horizon_years is None
-                           else args.horizon_years),
-        )
+            **{name: value for name, value in overrides.items() if value is not None})
 
+    dataset = dataio.load_dataset(dataset_path)
     prepared = gap.prepare_inputs(dataset, options)
     report = gap.run_scenario(dataset, scenario, options, scenario_name=scenario_name,
                               operator=operator, only_targets=only_targets,

@@ -3,14 +3,15 @@
 National operator statistics only pin regional coverage to interval
 bands. A single scalar k per country and technology turns the bands
 into point estimates: each region gets clamp(k * density, band), with
-k solved so that the premises-weighted mean over the country matches
-the national figure. Region values are then spread over geotypes with
-a densest-first waterfall.
+k solved exactly, by one scan over the breakpoints of the clamps, so
+that the premises-weighted mean over the country matches the national
+figure. Region values are then spread over geotypes densest-first.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -143,6 +144,12 @@ def disaggregate_regions(intervals: dict[str, CoverageInterval],
                          weights: dict[str, float]) -> dict[str, float]:
     """Turn interval-banded regional coverage into point estimates.
 
+    m(k), the weighted mean of clamp(k * density, band), is piecewise
+    linear and non-decreasing in k. One sorted scan over its breakpoints
+    finds the smallest k with m(k) = national: 0 when national <= m(0),
+    infinite (positive-density regions at their high edge, the rest at
+    their low edge) when national >= m(inf).
+
     Parameters
     ----------
     intervals : region id -> CoverageInterval for one (country, technology)
@@ -162,55 +169,45 @@ def disaggregate_regions(intervals: dict[str, CoverageInterval],
     """
     regions = sorted(intervals)
     total_w = sum(weights[r] for r in regions)
-    if total_w <= 0:
+    if not total_w > 0:
         raise DataError("cannot disaggregate coverage: total premises weight is zero")
 
-    def estimate(k: float) -> dict[str, float]:
-        out = {}
+    low_sum = sum(weights[r] * intervals[r].low for r in regions)
+    high_sum = sum(weights[r] * (intervals[r].high if densities[r] > 0 else intervals[r].low)
+                   for r in regions)
+    infeasible = InfeasibleCoverageError(
+        country="?", technology="?", national=national,
+        feasible_low=low_sum / total_w, feasible_high=high_sum / total_w,
+    )
+    if not (infeasible.feasible_low - RECONCILE_TOLERANCE <= national
+            <= infeasible.feasible_high + RECONCILE_TOLERANCE):
+        raise infeasible
+
+    target = national * total_w
+    k = 0.0 if target <= low_sum else math.inf
+    if low_sum < target < high_sum:
+        breakpoints = []  # (k, slope change, regions entering or leaving)
         for r in regions:
-            iv = intervals[r]
-            out[r] = min(iv.high, max(iv.low, k * densities[r]))
-        return out
+            iv, d, grow = intervals[r], densities[r], weights[r] * densities[r]
+            if grow > 0 and iv.low < iv.high:
+                breakpoints.append((iv.low / d, grow, 1))
+                breakpoints.append((iv.high / d, -grow, -1))
+        breakpoints.sort()
+        level, slope, inside, at = low_sum, 0.0, 0, 0.0
+        for bk, dslope, dinside in breakpoints:
+            reach = level + slope * (bk - at)
+            if reach >= target:  # level < target, so slope > 0
+                k = min(bk, at + (target - level) / slope)
+                break
+            level, at, inside = reach, bk, inside + dinside
+            # a stretch with every region pinned is exactly flat
+            slope = slope + dslope if inside else 0.0
 
-    def mean(values: dict[str, float]) -> float:
-        return sum(weights[r] * values[r] for r in regions) / total_w
-
-    low_mean = mean(estimate(0.0))
-    # All positive-density regions saturate at their band for large k;
-    # zero-density regions stay pinned at their lower bound.
-    k_hi = 1.0
-    max_density = max((densities[r] for r in regions), default=0.0)
-    if max_density > 0:
-        k_hi = 2.0 / max(min(d for d in densities.values() if d > 0), 1e-12)
-    high_mean = mean(estimate(k_hi))
-    # push k_hi until the mean stops growing
-    while True:
-        nxt = mean(estimate(k_hi * 2))
-        if nxt <= high_mean + 1e-15:
-            break
-        k_hi *= 2
-        high_mean = nxt
-
-    if not (low_mean - RECONCILE_TOLERANCE <= national <= high_mean + RECONCILE_TOLERANCE):
-        raise InfeasibleCoverageError(
-            country="?", technology="?", national=national,
-            feasible_low=low_mean, feasible_high=high_mean,
-        )
-
-    k_lo = 0.0
-    for _ in range(200):
-        k_mid = 0.5 * (k_lo + k_hi)
-        if mean(estimate(k_mid)) < national:
-            k_lo = k_mid
-        else:
-            k_hi = k_mid
-    values = estimate(k_hi)
-    got = mean(values)
+    values = {r: (min(intervals[r].high, max(intervals[r].low, k * densities[r]))
+                  if densities[r] > 0 else intervals[r].low) for r in regions}
+    got = sum(weights[r] * values[r] for r in regions) / total_w
     if abs(got - national) > RECONCILE_TOLERANCE:
-        raise InfeasibleCoverageError(
-            country="?", technology="?", national=national,
-            feasible_low=low_mean, feasible_high=high_mean,
-        )
+        raise infeasible
     return values
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -20,8 +21,8 @@ from typing import TYPE_CHECKING
 from .costs import CostAction, CostReference, Granularity, PreparednessFactor
 from .coverage import (PUBLISHED_BANDS, CoverageInterval, NationalFigure, TechClass)
 from .errors import DataError, DatasetValidationError
-from .geo import (SIZE_CLASSES, Country, Degurba, FixedTechChoice, Geotype,
-                  Locality, Region)
+from .geo import (LOCALITY_SUM_TOLERANCE, SIZE_CLASSES, Country, Degurba,
+                  FixedTechChoice, Geotype, Locality, Region, locality_sum_mismatches)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gap import EvolutionReport, GapReport
@@ -128,9 +129,12 @@ def _read_rows(path: Path, filename: str, required: tuple[str, ...],
 
 def _parse_float(raw: str, what: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
         raise DataError(f"{what}: not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"{what}: not a finite number: {raw!r}")
+    return value
 
 
 def _parse_int(raw: str, what: str) -> int:
@@ -470,19 +474,15 @@ def _cross_checks(report, regions, localities, countries, enterprises,
         if not locs:
             report.error("localities.csv", 0, f"region {region_id} has no localities")
             continue
-        region = regions[region_id]
-        pop = sum(l.population for l in locs)
-        area = sum(l.area_km2 for l in locs)
-        for name, have, want in (("population", pop, region.population),
-                                 ("area", area, region.area_km2)):
-            if want == 0:
-                continue
-            rel = abs(have - want) / abs(want)
-            if rel > 0.02:
+        mismatches = locality_sum_mismatches(regions[region_id],
+                                             sum(l.population for l in locs),
+                                             sum(l.area_km2 for l in locs))
+        for name, have, want, rel in mismatches:
+            if rel > LOCALITY_SUM_TOLERANCE:
                 report.error("localities.csv", 0,
                              f"region {region_id}: locality {name} sums to {have:.6g} "
                              f"but the region total is {want:.6g} ({rel:.1%} off)")
-            elif rel > 1e-9:
+            else:
                 report.warning("localities.csv", 0,
                                f"region {region_id}: locality {name} off by {rel:.2%}")
 
@@ -636,23 +636,13 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def scenario_to_dict(report: "GapReport") -> dict:
-    scenario = report.scenario
-    out = {"name": report.scenario_name}
-    if scenario is not None:
-        out.update({
-            "t1_quality": scenario.t1_quality.value,
-            "t2_quality": scenario.t2_quality.value,
-            "t3_tier": scenario.t3_tier.value,
-            "t4_wireless": scenario.t4_wireless.value,
-            "docsis_upgrade": scenario.docsis_upgrade,
-        })
-    return out
-
-
 def summary_dict(report: "GapReport") -> dict:
     from .gap import BreakdownDimension, breakdown, histogram_gap_shares
+    from .targets import scenario_to_fields
 
+    scenario = {"name": report.scenario_name}
+    if report.scenario is not None:
+        scenario.update(scenario_to_fields(report.scenario))
     hist = histogram_gap_shares(report)
     breakdowns = {}
     for dim in BreakdownDimension.ALL:
@@ -662,7 +652,7 @@ def summary_dict(report: "GapReport") -> dict:
             continue  # e.g. cohesion flags absent
     out = {
         "format": "gigagap-summary-v1",
-        "scenario": scenario_to_dict(report),
+        "scenario": scenario,
         "vintage": report.vintage,
         "totals_eur": dict(sorted(report.totals.items())),
         "country_totals_eur": dict(sorted(report.country_totals.items())),
@@ -807,38 +797,38 @@ def evolution_dict(evolution: "EvolutionReport") -> dict:
 
 def report_from_summary(path: str | Path) -> "GapReport":
     """Rebuild enough of a report from gap_summary.json to compare
-    vintages. Cells are not reconstructed."""
+    vintages. Cells are not reconstructed. A file that is not a whole,
+    well-formed gap summary raises DataError."""
     from .gap import GapReport, RegionSummary
-    from .targets import Quality, Scenario, T3Tier, T4WirelessScope
+    from .targets import scenario_from_fields
 
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if data.get("format") != "gigagap-summary-v1":
-        raise DataError(f"{path}: not a gap summary file")
-    sc = data.get("scenario", {})
-    scenario = None
-    if "t1_quality" in sc:
-        scenario = Scenario(
-            t1_quality=Quality(sc["t1_quality"]),
-            t2_quality=Quality(sc["t2_quality"]),
-            t3_tier=T3Tier(sc["t3_tier"]),
-            t4_wireless=T4WirelessScope(sc["t4_wireless"]),
-            docsis_upgrade=bool(sc["docsis_upgrade"]),
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict) or data.get("format") != "gigagap-summary-v1":
+            raise DataError(f"{path}: not a gap summary file")
+        sc = data.get("scenario", {})
+        scenario = (scenario_from_fields(sc, f"{path}: scenario")
+                    if "t1_quality" in sc else None)
+        regions = {
+            rid: RegionSummary(
+                region=rid, country=r["country"], population=r["population"],
+                households=r["households"], premises_total=r["premises_total"],
+                premises_to_cover=r["premises_to_cover"], cohesion=r.get("cohesion"),
+            ) for rid, r in data.get("regions", {}).items()
+        }
+        return GapReport(
+            scenario=scenario,
+            scenario_name=sc.get("name", "unknown"),
+            vintage=int(data["vintage"]),
+            cells=[],
+            totals={k: float(v) for k, v in data.get("totals_eur", {}).items()},
+            country_totals={k: float(v)
+                            for k, v in data.get("country_totals_eur", {}).items()},
+            geotype_totals={},
+            regions=regions,
         )
-    regions = {
-        rid: RegionSummary(
-            region=rid, country=r["country"], population=r["population"],
-            households=r["households"], premises_total=r["premises_total"],
-            premises_to_cover=r["premises_to_cover"], cohesion=r.get("cohesion"),
-        ) for rid, r in data.get("regions", {}).items()
-    }
-    return GapReport(
-        scenario=scenario,
-        scenario_name=sc.get("name", "unknown"),
-        vintage=int(data["vintage"]),
-        cells=[],
-        totals=dict(data.get("totals_eur", {})),
-        country_totals=dict(data.get("country_totals_eur", {})),
-        geotype_totals={},
-        regions=regions,
-    )
+    except KeyError as err:
+        raise DataError(f"{path}: gap summary lacks {err.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as err:
+        raise DataError(f"{path}: malformed gap summary: {err}") from None

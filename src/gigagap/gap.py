@@ -12,6 +12,7 @@ cheapest units first, and the remainder is the public gap.
 from __future__ import annotations
 
 import logging
+import math
 import statistics
 from dataclasses import dataclass, replace
 
@@ -67,11 +68,11 @@ class RunOptions:
     threads: int = 1
     already_covered_road_fraction: float = 0.0
     already_covered_rail_fraction: float = 0.0
-    # Fibre backhaul shares along rails and roads. They scale separate
-    # backhaul cost components only; the bundled per-km costs are
-    # all-inclusive, so with default data these have no effect.
-    rail_fibre_share: float = 0.75
-    road_fibre_share: float = 0.50
+
+    def __post_init__(self):
+        if not (math.isfinite(self.relax_intervals) and self.relax_intervals >= 0):
+            raise DataError(f"relax_intervals must be a finite number >= 0, "
+                            f"got {self.relax_intervals}")
 
 
 @dataclass
@@ -83,6 +84,12 @@ class OperatorInvestment:
     horizon_years: int = 6
     # Only part of fixed capex goes to new footprint the targets count.
     fixed_effective_fraction: float = 2.0 / 3.0
+
+    def __post_init__(self):
+        for name in ("fixed_per_year_eur", "wireless_per_year_eur", "horizon_years"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise DataError(f"operator {name} must be a finite number >= 0, got {value}")
 
     @property
     def fixed_pool_eur(self) -> float:
@@ -141,29 +148,22 @@ class GapReport:
 
 def _item_paths(item: DemandItem, country: geo.Country, scenario: Scenario):
     """Satisfying technologies, admissible upgrade routes and the new
-    build action for one demand item."""
+    build action (the item's required action) for one demand item."""
     if item.target in (Target.T1, Target.T2_URBAN):
         return frozenset({TechClass.FIVE_G}), {}, item.required_action
+    if item.target not in (Target.T3, Target.T4):
+        raise DataError(f"no path rules for target {item.target}")
 
     routes = {t: a for t, a in UPGRADE_ROUTES.items() if t is not TechClass.DOCSIS_30}
-    docsis_ok = country.cable_dominant and scenario.docsis_upgrade
-    if item.target is Target.T3:
-        if item.geotype is Geotype.EXTREMELY_RURAL:
-            # Enterprises out here need full fibre; cable does not count.
-            return frozenset({TechClass.FTTH_1G}), routes, CostAction.FTTH_NEW
-        if docsis_ok:
-            routes[TechClass.DOCSIS_30] = UPGRADE_ROUTES[TechClass.DOCSIS_30]
-        return _GBPS1_TECHS, routes, CostAction.FTTH_NEW
-
-    if item.target is Target.T4:
-        if docsis_ok:
-            routes[TechClass.DOCSIS_30] = UPGRADE_ROUTES[TechClass.DOCSIS_30]
-        if scenario.t4_is_wireless(item.geotype):
-            satisfying = _GBPS1_TECHS | {TechClass.FIVE_G}
-            return satisfying, routes, CostAction.FIVE_G_NOMINAL
-        return _GBPS1_TECHS, routes, CostAction.FTTH_NEW
-
-    raise DataError(f"no path rules for target {item.target}")
+    if item.target is Target.T3 and item.geotype is Geotype.EXTREMELY_RURAL:
+        # Enterprises out here need full fibre; cable does not count.
+        return frozenset({TechClass.FTTH_1G}), routes, item.required_action
+    if country.cable_dominant and scenario.docsis_upgrade:
+        routes[TechClass.DOCSIS_30] = UPGRADE_ROUTES[TechClass.DOCSIS_30]
+    if item.target is Target.T4 and item.required_action.wireless:
+        # T4 served by 5G here, so existing 5G already meets it
+        return _GBPS1_TECHS | {TechClass.FIVE_G}, routes, item.required_action
+    return _GBPS1_TECHS, routes, item.required_action
 
 
 def footprint_partition(state: CoverageState, region: str, geotype: Geotype,

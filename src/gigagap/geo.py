@@ -229,10 +229,20 @@ def decompose_region(region: Region, localities: list[Locality]) -> GeotypeProfi
         pop[g] += loc.population
         area[g] += loc.area_km2
 
-    _check_locality_sums(region, sum(pop.values()), sum(area.values()))
-
     total_pop = sum(pop.values())
     total_area = sum(area.values())
+    for name, have, want, rel in locality_sum_mismatches(region, total_pop, total_area):
+        if rel > LOCALITY_SUM_TOLERANCE:
+            raise DataError(
+                f"region {region.id}: locality {name} sums to {have:.6g}, "
+                f"region total is {want:.6g} (off by {rel:.1%}, "
+                f"tolerance {LOCALITY_SUM_TOLERANCE:.0%})"
+            )
+        log.warning(
+            "region %s: locality %s sums to %.6g vs region total %.6g (%.2f%% off)",
+            region.id, name, have, want, 100 * rel,
+        )
+
     if total_pop > 0:
         pop_share = {g: pop[g] / total_pop for g in Geotype}
     else:
@@ -246,22 +256,14 @@ def decompose_region(region: Region, localities: list[Locality]) -> GeotypeProfi
     )
 
 
-def _check_locality_sums(region: Region, loc_pop: float, loc_area: float) -> None:
+def locality_sum_mismatches(region: Region, loc_pop: float, loc_area: float):
+    """(name, localities' sum, region total, relative gap) for population
+    and area wherever the two differ by more than rounding."""
     for name, have, want in (("population", loc_pop, region.population),
                              ("area", loc_area, region.area_km2)):
-        if want == 0:
-            continue
-        rel = abs(have - want) / abs(want)
-        if rel > LOCALITY_SUM_TOLERANCE:
-            raise DataError(
-                f"region {region.id}: locality {name} sums to {have:.6g}, "
-                f"region total is {want:.6g} (off by {rel:.1%}, tolerance 2%)"
-            )
+        rel = abs(have - want) / abs(want) if want else 0.0
         if rel > 1e-9:
-            log.warning(
-                "region %s: locality %s sums to %.6g vs region total %.6g (%.2f%% off)",
-                region.id, name, have, want, 100 * rel,
-            )
+            yield name, have, want, rel
 
 
 def distribute_premises(region: Region, profile: GeotypeProfile) -> dict[Geotype, Premises]:

@@ -84,6 +84,32 @@ SCENARIO_PRESETS = {
 }
 
 
+def _flag(value) -> bool:
+    return value if isinstance(value, bool) else str(value).lower() in ("true", "1", "yes")
+
+
+# Scenario field -> parser of the plain value scenario_to_fields writes.
+_SCENARIO_FIELDS = {"t1_quality": Quality, "t2_quality": Quality, "t3_tier": T3Tier,
+                    "t4_wireless": T4WirelessScope, "docsis_upgrade": _flag}
+
+
+def scenario_to_fields(scenario: Scenario) -> dict:
+    """Field name -> plain value (enum value or bool) for one scenario."""
+    values = {name: getattr(scenario, name) for name in _SCENARIO_FIELDS}
+    return {name: v.value if isinstance(v, Enum) else v for name, v in values.items()}
+
+
+def scenario_from_fields(fields: dict, what: str = "scenario") -> Scenario:
+    """Inverse of scenario_to_fields; docsis_upgrade may also be text
+    (true, 1 or yes). A missing field or a bad value raises DataError."""
+    try:
+        return Scenario(**{name: parse(fields[name]) for name, parse in _SCENARIO_FIELDS.items()})
+    except KeyError as err:
+        raise DataError(f"{what} missing field {err.args[0]}") from None
+    except ValueError as err:
+        raise DataError(f"{what}: {err}") from None
+
+
 def scenario_from_config(text: str) -> Scenario:
     """Parse a key=value scenario file (one field per line, # comments)."""
     fields = {}
@@ -95,18 +121,7 @@ def scenario_from_config(text: str) -> Scenario:
             raise DataError(f"scenario config line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         fields[key.lower()] = value.lower()
-    try:
-        return Scenario(
-            t1_quality=Quality(fields["t1_quality"]),
-            t2_quality=Quality(fields["t2_quality"]),
-            t3_tier=T3Tier(fields["t3_tier"]),
-            t4_wireless=T4WirelessScope(fields["t4_wireless"]),
-            docsis_upgrade=fields["docsis_upgrade"] in ("true", "1", "yes"),
-        )
-    except KeyError as err:
-        raise DataError(f"scenario config missing field {err.args[0]}") from None
-    except ValueError as err:
-        raise DataError(f"scenario config: {err}") from None
+    return scenario_from_fields(fields, "scenario config")
 
 
 class Target(Enum):

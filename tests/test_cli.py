@@ -154,6 +154,20 @@ class TestRun:
         assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--operator-fixed-per-year", "nan"),
+    ("--operator-wireless-per-year", "-1e9"),
+    ("--horizon-years", "-3"),
+    ("--relax-intervals", "-0.5"),
+])
+def test_bad_run_option_is_domain_error(tmp_path, flag, value):
+    proc = gigagap("run", f"{flag}={value}", "--out", str(tmp_path / "x"))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert not (tmp_path / "x").exists()
+
+
 class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self, baseline_out, tmp_path):
         out2 = tmp_path / "again"
@@ -214,3 +228,22 @@ class TestCompare:
     def test_missing_summary_file_is_environment_error(self, tmp_path):
         proc = gigagap("compare", str(tmp_path / "a.json"), str(tmp_path / "b.json"))
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("content", [
+        '{"format": "gigagap-summary-v1", "vintage": 20',
+        '{"format": "gigagap-summary-v1"}',
+        '{"format": "gigagap-summary-v1", "vintage": 2019, "totals_eur": {"t1": "lots"}}',
+        '{"format": "gigagap-summary-v1", "vintage": 2019, "scenario": {'
+        '"t1_quality": "superb", "t2_quality": "nominal", "t3_tier": "all_enterprises", '
+        '"t4_wireless": "extremely_rural_only", "docsis_upgrade": true}}',
+        '["gigagap-summary-v1"]',
+    ], ids=["truncated", "missing-key", "bad-total", "bad-enum", "not-an-object"])
+    def test_malformed_summary_is_domain_error(self, baseline_out, tmp_path, content):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        good = str(baseline_out[0] / "gap_summary.json")
+        for args in ((str(bad), good), (good, str(bad))):
+            proc = gigagap("compare", *args)
+            assert proc.returncode == 1
+            assert "Traceback" not in proc.stderr
+            assert str(bad) in proc.stderr

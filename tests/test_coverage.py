@@ -118,6 +118,7 @@ class TestDisaggregation:
             total_w = sum(weights.values())
             mean = sum(weights[r] * got[r] for r in got) / total_w
             assert abs(mean - national) <= RECONCILE_TOLERANCE
+            assert abs(mean - national) <= 1e-12  # the breakpoint solve is exact
 
             for r, v in got.items():
                 band = intervals[r]
@@ -138,6 +139,76 @@ class TestDisaggregation:
                 oracle_v = min(band.high, max(band.low, k * densities[r]))
                 assert v == pytest.approx(oracle_v, abs=1e-3)
         assert time.time() - start < 30.0
+
+
+class TestExactSolve:
+    """Cases the random instances never draw: degenerate bands, zero
+    densities and weights, and national figures on the hull's edges."""
+
+    # m(0) = (0.25 + 0 + 2 * 0.5) / 4 and m(inf) = (0.75 + 0.5 + 2 * 0.5) / 4,
+    # both exact in binary; C has zero density and stays at its low edge.
+    INTERVALS = {"A": iv("A", 0.25, 0.75), "B": iv("B", 0.0, 0.5), "C": iv("C", 0.5, 1.0)}
+    DENSITIES = {"A": 10.0, "B": 40.0, "C": 0.0}
+    WEIGHTS = {"A": 1.0, "B": 1.0, "C": 2.0}
+    LOWS = {"A": 0.25, "B": 0.0, "C": 0.5}
+    HIGHS = {"A": 0.75, "B": 0.5, "C": 0.5}
+
+    def solve(self, national):
+        return disaggregate_regions(self.INTERVALS, national, self.DENSITIES, self.WEIGHTS)
+
+    def test_degenerate_full_band_is_fixed(self):
+        intervals = {"A": iv("A", 1.0, 1.0), "B": iv("B", 0.0, 0.35)}
+        got = disaggregate_regions(intervals, 0.6, {"A": 10.0, "B": 20.0},
+                                   {"A": 100.0, "B": 100.0})
+        assert got["A"] == 1.0
+        assert got["B"] == pytest.approx(0.2, abs=1e-15)
+
+    def test_all_degenerate_bands(self):
+        intervals = {"A": iv("A", 1.0, 1.0), "B": iv("B", 1.0, 1.0)}
+        got = disaggregate_regions(intervals, 1.0, {"A": 10.0, "B": 0.0},
+                                   {"A": 100.0, "B": 50.0})
+        assert got == {"A": 1.0, "B": 1.0}
+
+    def test_zero_density_region_stays_at_low_edge(self):
+        got = self.solve(0.5)
+        # A + B must make up 4 * 0.5 - 2 * 0.5 = 1; B (four times as dense)
+        # saturates at 0.5 before A leaves the interior of its band
+        assert got["C"] == 0.5
+        assert got["B"] == 0.5
+        assert got["A"] == pytest.approx(0.5, abs=1e-15)
+
+    def test_zero_density_caps_the_feasible_range(self):
+        with pytest.raises(InfeasibleCoverageError) as err:
+            self.solve(0.7)
+        assert err.value.feasible_low == 0.3125
+        assert err.value.feasible_high == 0.5625
+
+    def test_national_at_m0_puts_every_region_at_its_low_edge(self):
+        assert self.solve(0.3125) == self.LOWS
+
+    def test_national_at_m_inf_puts_dense_regions_at_their_high_edge(self):
+        assert self.solve(0.5625) == self.HIGHS
+
+    def test_inside_tolerance_outside_hull_gives_band_edges(self):
+        assert self.solve(0.3125 - 0.5 * RECONCILE_TOLERANCE) == self.LOWS
+        assert self.solve(0.5625 + 0.5 * RECONCILE_TOLERANCE) == self.HIGHS
+        with pytest.raises(InfeasibleCoverageError):
+            self.solve(0.5625 + 2 * RECONCILE_TOLERANCE)
+
+    def test_zero_weight_region_on_flat_stretch_takes_smallest_k(self):
+        # 2 m(k) = clamp(k, 0, 0.4) + clamp(k / 10, 0.6, 1) is flat at 1 for
+        # k in [0.4, 6]; the smallest k reaching national 0.5 is 0.4.
+        intervals = {"A": iv("A", 0.0, 0.4), "B": iv("B", 0.6, 1.0), "Z": iv("Z", 0.0, 1.0)}
+        got = disaggregate_regions(intervals, 0.5, {"A": 1.0, "B": 0.1, "Z": 1.0},
+                                   {"A": 1.0, "B": 1.0, "Z": 0.0})
+        assert got["A"] == 0.4
+        assert got["B"] == 0.6
+        assert got["Z"] == pytest.approx(0.4, abs=1e-15)
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(DataError):
+            disaggregate_regions(self.INTERVALS, 0.5, self.DENSITIES,
+                                 dict(self.WEIGHTS, A=float("nan")))
 
 
 class TestWaterfall:

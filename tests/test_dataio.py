@@ -135,6 +135,18 @@ class TestValidation:
         msgs = errors_for(broken_copy)
         assert any("CY000" in m for m in msgs)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_non_finite_household_count_rejected(self, broken_copy, raw):
+        def poison(rows):
+            rows[1][4] = raw
+            return rows
+        edit_csv(broken_copy / "regions.csv", poison)
+        ds, report = dataio.validate_dataset(broken_copy)
+        assert ds is None
+        msgs = [str(e) for e in report.errors]
+        assert any("regions.csv" in m and "households" in m and "finite" in m
+                   for m in msgs)
+
     def test_multiple_faults_all_reported(self, broken_copy):
         (broken_copy / "cohesion.csv").unlink()
         edit_csv(broken_copy / "enterprises.csv",

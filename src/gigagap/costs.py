@@ -9,13 +9,12 @@ preparedness second, infrastructure sharing last.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import CostTableError, DataError
-from .geo import Geotype
+from .geo import Geotype, ModelEnum
 
 
-class Granularity(Enum):
+class Granularity(ModelEnum):
     """Spatial resolution of a cost reference. Finer data gets more
     weight when references are merged."""
 
@@ -35,7 +34,7 @@ GRANULARITY_WEIGHTS = {
 }
 
 
-class CostAction(Enum):
+class CostAction(ModelEnum):
     """Deployable actions with a per-premise or per-km unit cost."""
 
     FTTH_NEW = "FTTH_NEW"
@@ -54,15 +53,16 @@ class CostAction(Enum):
 
     @property
     def per_km(self) -> bool:
-        return self.value.endswith("_KM")
+        return self in TRANSPORT_ACTIONS
 
     @property
     def wireless(self) -> bool:
         """True for 5G actions; everything else is fixed-network work."""
-        return self.value.startswith("FIVE_G")
+        return self in _WIRELESS_ACTIONS
 
 
-TRANSPORT_ACTIONS = frozenset(a for a in CostAction if a.per_km)
+TRANSPORT_ACTIONS = frozenset(a for a in CostAction if a.value.endswith("_KM"))
+_WIRELESS_ACTIONS = frozenset(a for a in CostAction if a.value.startswith("FIVE_G"))
 PREMISE_ACTIONS = tuple(a for a in CostAction if not a.per_km)
 
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .errors import DataError, InfeasibleCoverageError
-from .geo import GEOTYPES_DENSEST_FIRST, GeoFrame, Geotype
+from .geo import GEOTYPES_DENSEST_FIRST, GeoFrame, Geotype, ModelEnum
 
 log = logging.getLogger(__name__)
 
@@ -27,7 +26,7 @@ RECONCILE_TOLERANCE = 1e-4
 PUBLISHED_BANDS = ((0.0, 0.35), (0.35, 0.65), (0.65, 0.95), (0.95, 1.0), (1.0, 1.0))
 
 
-class TechClass(Enum):
+class TechClass(ModelEnum):
     """Access technologies tracked in the coverage data.
 
     FTTH_1G outranks FTTH_100M and DOCSIS_31 outranks DOCSIS_30 in
@@ -44,7 +43,7 @@ class TechClass(Enum):
     FIVE_G = "FIVE_G"
 
 
-class CapabilityTier(Enum):
+class CapabilityTier(ModelEnum):
     """Service levels a demand can ask for."""
 
     MBPS_100 = "100mbps"
@@ -123,7 +122,8 @@ class CoverageState:
 
     def footprint_over(self, region: str, geotype: Geotype, techs) -> float:
         """Best coverage over a set of technologies (0 when none present)."""
-        return max((self.get(region, geotype, t) for t in techs), default=0.0)
+        entries = self.entries
+        return max((entries.get((region, geotype, t), 0.0) for t in techs), default=0.0)
 
 
 def effective_footprint(state: CoverageState, region: str, geotype: Geotype,
@@ -253,10 +253,16 @@ def build_state(dataset, frame: GeoFrame, relax_intervals: float = 0.0) -> Cover
 
     national = {(nf.country, nf.technology): nf for nf in dataset.coverage_national}
 
+    # Per-region inputs do not depend on the technology: derive them once.
+    members: dict[str, list[str]] = {}
+    for region_id in sorted(frame.regions):
+        members.setdefault(frame.regions[region_id].country, []).append(region_id)
+    densities = {r: region.density for r, region in frame.regions.items()}
+    weights = {r: frame.region_premises(r) for r in frame.regions}
+
     for (country, tech) in sorted(by_pair, key=lambda p: (p[0], p[1].value)):
         intervals = by_pair[(country, tech)]
-        member_regions = frame.country_regions(country)
-        missing = [r for r in member_regions if r not in intervals]
+        missing = [r for r in members[country] if r not in intervals]
         if missing:
             raise DataError(
                 f"coverage intervals for {country}/{tech.value} missing regions: "
@@ -265,8 +271,6 @@ def build_state(dataset, frame: GeoFrame, relax_intervals: float = 0.0) -> Cover
         figure = national.get((country, tech))
         if figure is None:
             raise DataError(f"no national coverage figure for {country}/{tech.value}")
-        densities = {r: frame.regions[r].density for r in intervals}
-        weights = {r: frame.region_premises(r) for r in intervals}
         try:
             points = disaggregate_regions(intervals, figure.coverage, densities, weights)
         except InfeasibleCoverageError as err:

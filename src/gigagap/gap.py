@@ -21,15 +21,15 @@ from . import geo
 from . import targets as tg
 from .costs import CostAction, CostTable
 from .coverage import CapabilityTier, CoverageState, TechClass
-from .errors import DataError
+from .errors import CostTableError, DataError
 from .geo import GeoFrame, Geotype
-from .parallel import ordered_map
 from .targets import DemandItem, Scenario, Target, Unit
 
 log = logging.getLogger(__name__)
 
 _ACTION_ORDER = {a: i for i, a in enumerate(CostAction)}
 _TARGET_ORDER = {t: i for i, t in enumerate(Target)}
+_TOTAL_KEYS = {t: t.value.lower() for t in Target}  # T2_URBAN -> "t2_urban"
 
 # Upgrade route offered by each already-deployed technology.
 UPGRADE_ROUTES = {
@@ -40,6 +40,9 @@ UPGRADE_ROUTES = {
 }
 
 _GBPS1_TECHS = frozenset({TechClass.FTTH_1G, TechClass.DOCSIS_31})
+# Fixed-network routes without the cable upgrade. _item_paths hands this
+# and UPGRADE_ROUTES to every item, so neither may be mutated.
+_FIXED_ROUTES = {t: a for t, a in UPGRADE_ROUTES.items() if t is not TechClass.DOCSIS_30}
 
 
 @dataclass
@@ -65,7 +68,7 @@ class RunOptions:
 
     sharing_fraction: float = 0.0
     relax_intervals: float = 0.0
-    threads: int = 1
+    threads: int = 1  # accepted for compatibility; pricing runs in one thread
     already_covered_road_fraction: float = 0.0
     already_covered_rail_fraction: float = 0.0
 
@@ -154,12 +157,11 @@ def _item_paths(item: DemandItem, country: geo.Country, scenario: Scenario):
     if item.target not in (Target.T3, Target.T4):
         raise DataError(f"no path rules for target {item.target}")
 
-    routes = {t: a for t, a in UPGRADE_ROUTES.items() if t is not TechClass.DOCSIS_30}
     if item.target is Target.T3 and item.geotype is Geotype.EXTREMELY_RURAL:
         # Enterprises out here need full fibre; cable does not count.
-        return frozenset({TechClass.FTTH_1G}), routes, item.required_action
-    if country.cable_dominant and scenario.docsis_upgrade:
-        routes[TechClass.DOCSIS_30] = UPGRADE_ROUTES[TechClass.DOCSIS_30]
+        return frozenset({TechClass.FTTH_1G}), _FIXED_ROUTES, item.required_action
+    routes = (UPGRADE_ROUTES if country.cable_dominant and scenario.docsis_upgrade
+              else _FIXED_ROUTES)
     if item.target is Target.T4 and item.required_action.wireless:
         # T4 served by 5G here, so existing 5G already meets it
         return _GBPS1_TECHS | {TechClass.FIVE_G}, routes, item.required_action
@@ -179,20 +181,28 @@ def footprint_partition(state: CoverageState, region: str, geotype: Geotype,
     satisfied = state.footprint_over(region, geotype, satisfying)
     new_cost = table.unit_cost(newbuild, geotype, country_code)
 
-    levels = sorted({min(1.0, state.get(region, geotype, t)) for t in routes
-                     if state.get(region, geotype, t) > satisfied} | {1.0})
+    # Routes reaching past the satisfied footprint; no other can serve a slice.
+    entries, adjusted = state.entries, table.adjusted
+    reaching = []
+    for tech, action in routes.items():
+        reach = entries.get((region, geotype, tech), 0.0)
+        if reach > satisfied:
+            key = (action, geotype, country_code)
+            if key not in adjusted:
+                raise CostTableError([key])
+            reaching.append((reach, adjusted[key], action))
+
+    levels = sorted({min(1.0, reach) for reach, _, _ in reaching} | {1.0})
     slices = []
     prev = satisfied
     for level in levels:
         width = level - prev
         if width > 1e-15:
             best_cost, best_action = new_cost, newbuild
-            for tech, action in routes.items():
-                if state.get(region, geotype, tech) >= level:
-                    c = table.unit_cost(action, geotype, country_code)
-                    if c < best_cost or (c == best_cost
-                                         and _ACTION_ORDER[action] < _ACTION_ORDER[best_action]):
-                        best_cost, best_action = c, action
+            for reach, c, action in reaching:
+                if reach >= level and (c < best_cost or (
+                        c == best_cost and _ACTION_ORDER[action] < _ACTION_ORDER[best_action])):
+                    best_cost, best_action = c, action
             slices.append((width, best_action, best_cost))
         prev = level
     return satisfied, slices
@@ -240,10 +250,8 @@ def gap_for_item(item: DemandItem, state: CoverageState, table: CostTable,
 
 def _cells_for_items(items: list[DemandItem], state: CoverageState, table: CostTable,
                      frame: GeoFrame, scenario: Scenario, options: RunOptions) -> list[GapCell]:
-    chunks = ordered_map(
-        lambda it: gap_for_item(it, state, table, frame, scenario, options),
-        items, threads=options.threads)
-    return [cell for chunk in chunks for cell in chunk]
+    return [cell for item in items
+            for cell in gap_for_item(item, state, table, frame, scenario, options)]
 
 
 def dedup_t3_over_t4(items: list[DemandItem], scenario: Scenario) -> list[DemandItem]:
@@ -262,8 +270,6 @@ def dedup_t3_over_t4(items: list[DemandItem], scenario: Scenario) -> list[Demand
             out.append(item)
             continue
         quantity = item.quantity - item.enterprise_locations
-        if quantity < 0:
-            quantity = 0.0
         if quantity > 0:
             out.append(replace(item, quantity=quantity))
     return out
@@ -277,7 +283,7 @@ def _sorted_cells(cells: list[GapCell]) -> list[GapCell]:
 
 
 def _total(cells: list[GapCell]) -> float:
-    return sum(c.investment_eur for c in _sorted_cells(cells))
+    return sum(c.investment_eur for c in cells)
 
 
 def compose_egs(standalone: dict[Target, list[GapCell]],
@@ -287,23 +293,17 @@ def compose_egs(standalone: dict[Target, list[GapCell]],
 
     T1 already covers the urban side of T2 inside capital regions, so
     those T2 cells drop out. The T3 cells passed in must already be
-    deduplicated against T4.
+    deduplicated against T4. Every list passed in must be sorted as
+    _sorted_cells sorts: the composed list is their concatenation in
+    Target order, and each total sums its list in the order given.
     """
     t2_urban_kept = [c for c in standalone[Target.T2_URBAN] if c.region not in capitals]
-    composed = (list(standalone[Target.T1]) + t2_urban_kept
-                + list(standalone[Target.T2_TRANSPORT])
-                + list(standalone[Target.T4]) + list(t3_composed))
-    composed = _sorted_cells(composed)
+    composed = (standalone[Target.T1] + t2_urban_kept + standalone[Target.T2_TRANSPORT]
+                + t3_composed + standalone[Target.T4])
 
-    totals = {
-        "t1": _total(standalone[Target.T1]),
-        "t2_urban": _total(standalone[Target.T2_URBAN]),
-        "t2_transport": _total(standalone[Target.T2_TRANSPORT]),
-        "t3": _total(standalone[Target.T3]),
-        "t4": _total(standalone[Target.T4]),
-        "t2_after_t1": _total(t2_urban_kept) + _total(standalone[Target.T2_TRANSPORT]),
-        "t3_composed": _total(t3_composed),
-    }
+    totals = {_TOTAL_KEYS[t]: _total(standalone[t]) for t in Target}
+    totals["t2_after_t1"] = _total(t2_urban_kept) + totals["t2_transport"]
+    totals["t3_composed"] = _total(t3_composed)
     totals["egs_premises"] = totals["t1"] + totals["t2_after_t1"] + totals["t4"]
     totals["egs_premises_companies"] = totals["egs_premises"] + totals["t3_composed"]
     return composed, totals
@@ -335,10 +335,13 @@ class PreparedInputs:
     frame: GeoFrame
     state: CoverageState
     table: CostTable
+    # Read-only, as every report run from these inputs shares it; None: derived per run.
+    regions: dict[str, RegionSummary] | None = None
 
 
 def prepare_inputs(dataset, options: RunOptions | None = None) -> PreparedInputs:
-    """Build the frame, coverage state and cost table for a dataset."""
+    """Build the frame, coverage state, cost table and region summaries
+    for a dataset."""
     from .costs import build_cost_table
 
     options = options or RunOptions()
@@ -346,7 +349,8 @@ def prepare_inputs(dataset, options: RunOptions | None = None) -> PreparedInputs
     state = cov.build_state(dataset, frame, options.relax_intervals)
     table = build_cost_table(dataset.cost_references, frame.countries,
                              dataset.price_index, options.sharing_fraction)
-    return PreparedInputs(frame=frame, state=state, table=table)
+    return PreparedInputs(frame=frame, state=state, table=table,
+                          regions=_region_summaries(dataset, frame, state))
 
 
 _DEFAULT_OPERATOR = OperatorInvestment()
@@ -368,15 +372,11 @@ def run_scenario(dataset, scenario: Scenario, options: RunOptions | None = None,
     frame, state, table = prepared.frame, prepared.state, prepared.table
     demands = tg.build_demands(frame, scenario)
 
-    standalone = {}
-    for target in Target:
-        items = demands[target]
-        if only_targets is not None and target not in only_targets:
-            continue
-        standalone[target] = _sorted_cells(
-            _cells_for_items(items, state, table, frame, scenario, options))
+    standalone = {t: _sorted_cells(_cells_for_items(demands[t], state, table, frame,
+                                                    scenario, options))
+                  for t in Target if only_targets is None or t in only_targets}
 
-    regions = _region_summaries(dataset, frame, state)
+    regions = prepared.regions or _region_summaries(dataset, frame, state)
 
     if only_targets is None:
         t3_composed = _sorted_cells(_cells_for_items(
@@ -386,12 +386,9 @@ def run_scenario(dataset, scenario: Scenario, options: RunOptions | None = None,
         cells, totals = compose_egs(standalone, t3_composed, capitals)
         totals["egs_households"] = _households_total(cells, regions)
     else:
-        cells = _sorted_cells([c for t in sorted(standalone, key=lambda t: _TARGET_ORDER[t])
-                               for c in standalone[t]])
-        key_names = {Target.T1: "t1", Target.T2_URBAN: "t2_urban",
-                     Target.T2_TRANSPORT: "t2_transport", Target.T3: "t3",
-                     Target.T4: "t4"}
-        totals = {key_names[t]: _total(standalone[t]) for t in standalone}
+        # standalone is in Target order, so this concatenation is sorted
+        cells = [c for target_cells in standalone.values() for c in target_cells]
+        totals = {_TOTAL_KEYS[t]: _total(target_cells) for t, target_cells in standalone.items()}
 
     country_totals = {code: 0.0 for code in sorted(frame.countries)}
     geotype_totals = {g: 0.0 for g in Geotype}

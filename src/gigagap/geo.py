@@ -10,7 +10,7 @@ written out.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .errors import DataError
@@ -28,7 +28,21 @@ LOCALITY_SUM_TOLERANCE = 0.02
 SIZE_CLASSES = ("0-9", "10-19", "20-49", "50-249", "250+")
 
 
-class Geotype(Enum):
+class ModelEnum(Enum):
+    """Base of the package's enums: members hash by identity.
+
+    Enum.__hash__ is a Python-level hash(self._name_), and the pricing
+    path hashes tuple-of-enum dict keys about a million times per
+    scenario. Members are singletons and == on them is identity, so the
+    identity hash agrees with equality. Set iteration order already
+    varied between processes through str hash randomisation, so no
+    output may depend on it.
+    """
+
+    __hash__ = object.__hash__
+
+
+class Geotype(ModelEnum):
     """Settlement classes ordered from densest to sparsest."""
 
     URBAN = "urban"
@@ -47,7 +61,7 @@ _GEOTYPE_ORDER = {g: i for i, g in enumerate(Geotype)}
 GEOTYPES_DENSEST_FIRST = tuple(Geotype)
 
 
-class Degurba(Enum):
+class Degurba(ModelEnum):
     """Degree-of-urbanisation class reported for a locality."""
 
     URBAN = "urban"
@@ -55,7 +69,7 @@ class Degurba(Enum):
     RURAL = "rural"
 
 
-class FixedTechChoice(Enum):
+class FixedTechChoice(ModelEnum):
     """Dominant fixed-network strategy of a country's market."""
 
     FTTH = "FTTH"
@@ -325,8 +339,11 @@ class GeoFrame:
 
 
 def build_frame(dataset) -> GeoFrame:
-    """Assemble the GeoFrame from a loaded dataset."""
-    regions = dataset.regions
+    """Assemble the GeoFrame from a loaded dataset.
+
+    The frame gets its own copies of the regions, so the dataset is left
+    as loaded and can be prepared again."""
+    regions = {r: replace(region) for r, region in dataset.regions.items()}
     allocate_enterprises(dataset.countries, regions, dataset.enterprises)
 
     by_region: dict[str, list[Locality]] = {r: [] for r in regions}

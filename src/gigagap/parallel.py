@@ -1,4 +1,8 @@
-"""Deterministic map helper for the --threads option.
+"""Deterministic map helper, formerly behind the --threads option.
+
+Nothing in the package calls it any more: pricing runs in one thread,
+because a thread pool over the interpreter-bound per-item work measured
+3-4x slower. perfbench's tracer still imports this module by name.
 
 Results are always reduced in input order, so outputs are identical
 for any worker count.

@@ -20,17 +20,17 @@ from enum import Enum
 
 from .costs import CostAction
 from .errors import DataError
-from .geo import SIZE_CLASSES, GeoFrame, Geotype
+from .geo import SIZE_CLASSES, GeoFrame, Geotype, ModelEnum
 
 
-class Quality(Enum):
+class Quality(ModelEnum):
     """5G dimensioning level."""
 
     NOMINAL = "nominal"
     GUARANTEED = "guaranteed"
 
 
-class T3Tier(Enum):
+class T3Tier(ModelEnum):
     """How much of the enterprise base target 3 serves."""
 
     ALL_ENTERPRISES = "all_enterprises"
@@ -45,7 +45,7 @@ T3_TIER_CAPS = {
 }
 
 
-class T4WirelessScope(Enum):
+class T4WirelessScope(ModelEnum):
     """Geotypes where target 4 is met with 5G instead of fibre."""
 
     EXTREMELY_RURAL_ONLY = "extremely_rural_only"
@@ -124,7 +124,7 @@ def scenario_from_config(text: str) -> Scenario:
     return scenario_from_fields(fields, "scenario config")
 
 
-class Target(Enum):
+class Target(ModelEnum):
     T1 = "T1"
     T2_URBAN = "T2_URBAN"
     T2_TRANSPORT = "T2_TRANSPORT"
@@ -132,7 +132,7 @@ class Target(Enum):
     T4 = "T4"
 
 
-class Unit(Enum):
+class Unit(ModelEnum):
     PREMISES = "premises"
     KM_ROAD = "km_road"
     KM_RAIL = "km_rail"

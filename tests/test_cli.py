@@ -161,11 +161,13 @@ class TestRun:
     ("--relax-intervals", "-0.5"),
 ])
 def test_bad_run_option_is_domain_error(tmp_path, flag, value):
-    proc = gigagap("run", f"{flag}={value}", "--out", str(tmp_path / "x"))
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error:")
-    assert not (tmp_path / "x").exists()
+    # both spellings, since argparse reads a bare "-1e9" as an option
+    for args in ([f"{flag}={value}"], [flag, value]):
+        proc = gigagap("run", *args, "--out", str(tmp_path / "x"))
+        assert proc.returncode == 1, args
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:")
+        assert not (tmp_path / "x").exists()
 
 
 class TestDeterminism:
@@ -175,6 +177,15 @@ class TestDeterminism:
         assert proc.returncode == 0, proc.stderr
         for name in OUTPUT_FILES:
             assert (baseline_out[0] / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_hash_seed_does_not_change_output(self, tmp_path):
+        outs = []
+        for seed in ("0", "4242"):
+            outs.append(tmp_path / f"hashseed{seed}")
+            proc = gigagap("run", "--out", str(outs[-1]), env={"PYTHONHASHSEED": seed})
+            assert proc.returncode == 0, proc.stderr
+        for name in OUTPUT_FILES:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_thread_count_is_byte_identical(self, baseline_out, tmp_path):
         out8 = tmp_path / "threads8"

@@ -1,8 +1,11 @@
+import dataclasses
+import math
 import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from datagen import random_dataset
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from gigagap.coverage import (
@@ -18,8 +21,8 @@ from gigagap.coverage import (
     effective_footprint,
     spread_over_geotypes,
 )
-from gigagap.errors import DataError, InfeasibleCoverageError
-from gigagap.geo import Geotype
+from gigagap.errors import DataError, GigagapError, InfeasibleCoverageError
+from gigagap.geo import Geotype, build_frame
 
 
 def iv(region, low, high):
@@ -352,3 +355,27 @@ class TestWeightedMeanOnFixture:
                 acc += w * point
                 total_w += w
             assert acc / total_w == pytest.approx(nf.coverage, abs=RECONCILE_TOLERANCE)
+
+
+class TestTermination:
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n_countries=st.integers(min_value=1, max_value=4),
+           nationals=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=32),
+           relax=st.floats(min_value=0.0, max_value=0.05))
+    @settings(max_examples=60, deadline=2000,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))  # no shrinking
+    def test_build_state_returns_or_raises_domain_error(self, seed, n_countries,
+                                                        nationals, relax):
+        """Any finite dataset ends: a state with coverages in [0, 1], or a
+        GigagapError. Drawn national figures replace the feasible ones in
+        order, so infeasible (country, technology) pairs come up too."""
+        dataset = random_dataset(seed, n_countries)
+        figures = [dataclasses.replace(nf, coverage=value)
+                   for nf, value in zip(dataset.coverage_national, nationals)]
+        dataset = dataclasses.replace(
+            dataset, coverage_national=figures + dataset.coverage_national[len(figures):])
+        try:
+            state = build_state(dataset, build_frame(dataset), relax)
+        except GigagapError:
+            return
+        assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in state.entries.values())

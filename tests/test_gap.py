@@ -9,6 +9,7 @@ from gigagap.gap import (
     GapCell,
     GapReport,
     OperatorInvestment,
+    PreparedInputs,
     RunOptions,
     breakdown,
     compare_vintages,
@@ -20,7 +21,7 @@ from gigagap.gap import (
     run_scenario,
     subtract_operator_investment,
 )
-from gigagap.gap import RegionSummary
+from gigagap.gap import RegionSummary, _sorted_cells
 from gigagap.geo import Geotype
 from gigagap.targets import (
     SCENARIO_PRESETS,
@@ -265,6 +266,36 @@ class TestRunScenario:
             assert summary.premises_to_cover == pytest.approx(expected, rel=1e-12)
             assert summary.premises_total == pytest.approx(frame.region_premises(rid),
                                                            rel=1e-12)
+
+    def test_cells_sorted_once_and_totals_summed_in_order(self, dataset, prepared,
+                                                          baseline_report):
+        standalone = run_scenario(dataset, BASELINE, prepared=prepared,
+                                  only_targets=set(Target))
+        for report in (baseline_report, standalone):
+            assert report.cells == _sorted_cells(report.cells)
+
+        def in_order(report, target):
+            return sum(c.investment_eur for c in report.cells if c.target is target)
+
+        composed = baseline_report.totals
+        assert composed["t1"] == in_order(baseline_report, Target.T1)
+        assert composed["t2_transport"] == in_order(baseline_report, Target.T2_TRANSPORT)
+        assert composed["t2_after_t1"] == (in_order(baseline_report, Target.T2_URBAN)
+                                           + composed["t2_transport"])
+        assert composed["t3_composed"] == in_order(baseline_report, Target.T3)
+        assert composed["t4"] == in_order(baseline_report, Target.T4)
+        for target in Target:
+            key = target.value.lower()
+            assert standalone.totals[key] == in_order(standalone, target)
+            assert composed[key] == standalone.totals[key]
+
+    def test_prepared_region_summaries_equal_fresh_ones(self, dataset, prepared,
+                                                        baseline_report):
+        fresh = run_scenario(dataset, BASELINE)
+        assert baseline_report.regions == fresh.regions
+        bare = PreparedInputs(frame=prepared.frame, state=prepared.state,
+                              table=prepared.table)
+        assert run_scenario(dataset, BASELINE, prepared=bare).regions == fresh.regions
 
 
 def sweep_oracle(report, operator):

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gigagap import dataio
 from gigagap.errors import DataError
+from gigagap.gap import prepare_inputs
 from gigagap.geo import (
     GEOTYPES_DENSEST_FIRST,
     SIZE_CLASSES,
@@ -173,6 +175,14 @@ class TestCableDominance:
 
 
 class TestBuildFrame:
+    def test_prepare_inputs_leaves_dataset_as_loaded(self, fixture_dir):
+        dataset = dataio.load_dataset(fixture_dir)
+        loaded = {rid: dict(reg.enterprise_counts) for rid, reg in dataset.regions.items()}
+        first = prepare_inputs(dataset)
+        assert {rid: reg.enterprise_counts
+                for rid, reg in dataset.regions.items()} == loaded
+        assert prepare_inputs(dataset).frame == first.frame
+
     def test_fixture_frame_cell_enterprises_resum_to_country(self, dataset):
         frame = build_frame(dataset)
         for (code, sc), count in dataset.enterprises.items():

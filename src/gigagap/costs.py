@@ -63,7 +63,6 @@ class CostAction(ModelEnum):
 
 TRANSPORT_ACTIONS = frozenset(a for a in CostAction if a.value.endswith("_KM"))
 _WIRELESS_ACTIONS = frozenset(a for a in CostAction if a.value.startswith("FIVE_G"))
-PREMISE_ACTIONS = tuple(a for a in CostAction if not a.per_km)
 
 
 @dataclass
@@ -125,17 +124,14 @@ def index_to_2019(value_eur: float, price_year: int, price_index: dict[int, floa
     return value_eur * price_index[price_year]
 
 
-def merge_references(refs: list[CostReference], price_index: dict[int, float],
-                     weights: dict[Granularity, float] | None = None) -> float:
+def merge_references(refs: list[CostReference], price_index: dict[int, float]) -> float:
     """Merge indexed references into one figure by granularity-weighted mean."""
     if not refs:
         raise CostTableError(["(empty reference list)"])
-    if weights is None:
-        weights = GRANULARITY_WEIGHTS
     total_w = 0.0
     acc = 0.0
     for ref in refs:
-        w = weights[ref.granularity]
+        w = GRANULARITY_WEIGHTS[ref.granularity]
         acc += w * index_to_2019(ref.value_eur, ref.price_year, price_index)
         total_w += w
     return acc / total_w
@@ -174,13 +170,6 @@ class CostTable:
 
     base: dict[tuple[CostAction, Geotype | None], float]
     adjusted: dict[tuple[CostAction, Geotype | None, str], float]
-    sharing_fraction: float = 0.0
-
-    def base_cost(self, action: CostAction, geotype: Geotype | None = None) -> float:
-        key = (action, None if action.per_km else geotype)
-        if key not in self.base:
-            raise CostTableError([key])
-        return self.base[key]
 
     def unit_cost(self, action: CostAction, geotype: Geotype | None, country: str) -> float:
         key = (action, None if action.per_km else geotype, country)
@@ -189,9 +178,9 @@ class CostTable:
         return self.adjusted[key]
 
 
-def required_cells(actions=CostAction) -> list[tuple[CostAction, Geotype | None]]:
+def required_cells() -> list[tuple[CostAction, Geotype | None]]:
     cells = []
-    for action in actions:
+    for action in CostAction:
         if action.per_km:
             cells.append((action, None))
         else:
@@ -202,18 +191,14 @@ def required_cells(actions=CostAction) -> list[tuple[CostAction, Geotype | None]
 def build_cost_table(references: list[CostReference],
                      countries: dict,
                      price_index: dict[int, float],
-                     sharing_fraction: float = 0.0,
-                     weights: dict[Granularity, float] | None = None,
-                     cells: list[tuple[CostAction, Geotype | None]] | None = None) -> CostTable:
+                     sharing_fraction: float = 0.0) -> CostTable:
     """Merge references and adjust per country.
 
     The adjustment order is fixed: labour, then preparedness, then
     sharing. Every required cell must be covered by at least one
     reference; all gaps are reported together.
     """
-    if cells is None:
-        cells = required_cells()
-
+    cells = required_cells()
     grouped: dict[tuple[CostAction, Geotype | None], list[CostReference]] = {}
     for ref in references:
         grouped.setdefault((ref.action, ref.geotype), []).append(ref)
@@ -226,7 +211,7 @@ def build_cost_table(references: list[CostReference],
 
     base = {}
     for cell in cells:
-        base[cell] = merge_references(grouped[cell], price_index, weights)
+        base[cell] = merge_references(grouped[cell], price_index)
 
     adjusted = {}
     for cell in cells:
@@ -237,4 +222,4 @@ def build_cost_table(references: list[CostReference],
             cost = apply_preparedness(cost, country.preparedness)
             cost = apply_sharing(cost, sharing_fraction)
             adjusted[(action, geotype, code)] = cost
-    return CostTable(base=base, adjusted=adjusted, sharing_fraction=sharing_fraction)
+    return CostTable(base=base, adjusted=adjusted)

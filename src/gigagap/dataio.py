@@ -15,6 +15,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -107,14 +108,16 @@ class Dataset:
 
 def _read_rows(path: Path, filename: str, required: tuple[str, ...],
                optional: tuple[str, ...], report: ValidationReport):
-    """Read one CSV, checking columns. Yields (row_number, dict) pairs."""
+    """Read one CSV, checking columns. Yields (row_number, dict) pairs,
+    skipping blank lines. A row that ends before the last required column
+    is reported instead; trailing columns it lacks are absent from its dict."""
     file = path / filename
     if not file.is_file():
         report.error(filename, 0, "file not found")
         return
     with open(file, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [c for c in required if c not in header]
         if missing:
             report.error(filename, 1, f"missing required columns: {', '.join(missing)}")
@@ -123,8 +126,37 @@ def _read_rows(path: Path, filename: str, required: tuple[str, ...],
         for col in header:
             if col not in known:
                 report.warning(filename, 1, f"ignoring unknown column {col!r}")
+        need = 1 + max(header.index(c) for c in required)
         for row in reader:
-            yield reader.line_num, row
+            if not row:
+                continue
+            if len(row) < need:
+                report.error(filename, reader.line_num,
+                             f"expected {need} fields, got {len(row)}")
+                continue
+            yield reader.line_num, dict(zip(header, row))
+
+
+def _parsed_rows(path: Path, report: ValidationReport, filename: str,
+                 required: tuple[str, ...], parse, key=None, duplicate: str = "",
+                 optional: tuple[str, ...] = ()):
+    """Parse each row of one CSV. Yields (row_number, value) pairs. A row
+    whose parse raises DataError is reported instead, and so is a row whose
+    key(value) repeats an earlier row's, as "duplicate " + duplicate.format(value)."""
+    seen = set()
+    for lineno, row in _read_rows(path, filename, required, optional, report):
+        try:
+            value = parse(row)
+        except DataError as err:
+            report.error(filename, lineno, str(err))
+            continue
+        if key is not None:
+            k = key(value)
+            if k in seen:
+                report.error(filename, lineno, "duplicate " + duplicate.format(value))
+                continue
+            seen.add(k)
+        yield lineno, value
 
 
 def _parse_float(raw: str, what: str) -> float:
@@ -156,14 +188,14 @@ _DEGURBA_ALIASES = {"1": Degurba.URBAN, "2": Degurba.SUBURBAN, "3": Degurba.RURA
 
 
 def _parse_degurba(raw: str) -> Degurba:
-    key = (raw or "").strip().lower()
+    key = raw.strip().lower()
     if key in _DEGURBA_ALIASES:
         return _DEGURBA_ALIASES[key]
     return _parse_enum(key, Degurba, "degurba")
 
 
 def _parse_bool(raw: str, what: str) -> bool:
-    key = (raw or "").strip().lower()
+    key = raw.strip().lower()
     if key in ("true", "1", "yes"):
         return True
     if key in ("false", "0", "no"):
@@ -222,23 +254,19 @@ def load_dataset(path: str | Path) -> Dataset:
 
 
 def _load_regions(path, report) -> dict[str, Region]:
+    def parse(row):
+        return Region(
+            id=row["id"].strip(),
+            country=row["country"].strip(),
+            population=_parse_float(row["population"], "population"),
+            area_km2=_parse_float(row["area_km2"], "area_km2"),
+            households=_parse_float(row["households"], "households"),
+        )
+
     out: dict[str, Region] = {}
     cols = ("id", "country", "population", "area_km2", "households")
-    for lineno, row in _read_rows(path, "regions.csv", cols, (), report):
-        try:
-            region = Region(
-                id=row["id"].strip(),
-                country=row["country"].strip(),
-                population=_parse_float(row["population"], "population"),
-                area_km2=_parse_float(row["area_km2"], "area_km2"),
-                households=_parse_float(row["households"], "households"),
-            )
-        except DataError as err:
-            report.error("regions.csv", lineno, str(err))
-            continue
-        if region.id in out:
-            report.error("regions.csv", lineno, f"duplicate region id {region.id}")
-            continue
+    for lineno, region in _parsed_rows(path, report, "regions.csv", cols, parse,
+                                       attrgetter("id"), "region id {0.id}"):
         if region.population == 0 and region.households > 0:
             report.warning("regions.csv", lineno,
                            f"region {region.id} has households but zero population")
@@ -247,120 +275,88 @@ def _load_regions(path, report) -> dict[str, Region]:
 
 
 def _load_localities(path, report) -> list[Locality]:
-    out = []
-    seen = set()
+    def parse(row):
+        return Locality(
+            id=row["id"].strip(),
+            region=row["region"].strip(),
+            population=_parse_float(row["population"], "population"),
+            area_km2=_parse_float(row["area_km2"], "area_km2"),
+            degurba=_parse_degurba(row["degurba"]),
+        )
+
     cols = ("id", "region", "population", "area_km2", "degurba")
-    for lineno, row in _read_rows(path, "localities.csv", cols, (), report):
-        try:
-            loc = Locality(
-                id=row["id"].strip(),
-                region=row["region"].strip(),
-                population=_parse_float(row["population"], "population"),
-                area_km2=_parse_float(row["area_km2"], "area_km2"),
-                degurba=_parse_degurba(row["degurba"]),
-            )
-        except DataError as err:
-            report.error("localities.csv", lineno, str(err))
-            continue
-        if loc.id in seen:
-            report.error("localities.csv", lineno, f"duplicate locality id {loc.id}")
-            continue
-        seen.add(loc.id)
-        out.append(loc)
-    return out
+    return [loc for _, loc in _parsed_rows(path, report, "localities.csv", cols, parse,
+                                           attrgetter("id"), "locality id {0.id}")]
+
+
+_PREP_COLUMNS = (("prep_geo", "geographic"), ("prep_housing", "housing"),
+                 ("prep_regulation", "regulation"))
 
 
 def _load_countries(path, report) -> dict[str, Country]:
+    def parse(row):
+        code = row["code"].strip()
+        prep = PreparednessFactor(country=code, **{
+            attr: _parse_float(row[col], col) for col, attr in _PREP_COLUMNS})
+        return Country(
+            code=code,
+            labour_index=_parse_float(row["labour_index"], "labour_index"),
+            preparedness=prep,
+            dominant_fixed_tech=_parse_enum(row["dominant_fixed_tech"].strip(),
+                                            FixedTechChoice, "dominant_fixed_tech"),
+            road_km=_parse_float(row["road_km"], "road_km"),
+            rail_km=_parse_float(row["rail_km"], "rail_km"),
+            capital_region=row["capital_region"].strip(),
+            docsis_band=row.get("docsis_band", "").strip() or None,
+            fttp_band=row.get("fttp_band", "").strip() or None,
+        )
+
     out: dict[str, Country] = {}
     cols = ("code", "labour_index", "prep_geo", "prep_housing", "prep_regulation",
             "dominant_fixed_tech", "road_km", "rail_km", "capital_region")
-    optional = ("docsis_band", "fttp_band")
-    for lineno, row in _read_rows(path, "countries.csv", cols, optional, report):
-        code = row["code"].strip()
-        try:
-            prep = PreparednessFactor(
-                country=code,
-                geographic=_parse_float(row["prep_geo"], "prep_geo"),
-                housing=_parse_float(row["prep_housing"], "prep_housing"),
-                regulation=_parse_float(row["prep_regulation"], "prep_regulation"),
-            )
-            for name in ("prep_geo", "prep_housing", "prep_regulation"):
-                v = float(row[name])
-                if min(abs(v - s) for s in (-0.10, 0.0, 0.10)) > 1e-9:
-                    report.warning("countries.csv", lineno,
-                                   f"{name}={v} is not one of the usual -0.10/0/0.10 steps")
-            country = Country(
-                code=code,
-                labour_index=_parse_float(row["labour_index"], "labour_index"),
-                preparedness=prep,
-                dominant_fixed_tech=_parse_enum(row["dominant_fixed_tech"].strip(),
-                                                FixedTechChoice, "dominant_fixed_tech"),
-                road_km=_parse_float(row["road_km"], "road_km"),
-                rail_km=_parse_float(row["rail_km"], "rail_km"),
-                capital_region=row["capital_region"].strip(),
-                docsis_band=(row.get("docsis_band") or "").strip() or None,
-                fttp_band=(row.get("fttp_band") or "").strip() or None,
-            )
-        except DataError as err:
-            report.error("countries.csv", lineno, str(err))
-            continue
-        if code in out:
-            report.error("countries.csv", lineno, f"duplicate country code {code}")
-            continue
-        out[code] = country
+    for lineno, country in _parsed_rows(path, report, "countries.csv", cols, parse,
+                                        attrgetter("code"), "country code {0.code}",
+                                        optional=("docsis_band", "fttp_band")):
+        for col, attr in _PREP_COLUMNS:
+            v = getattr(country.preparedness, attr)
+            if min(abs(v - s) for s in (-0.10, 0.0, 0.10)) > 1e-9:
+                report.warning("countries.csv", lineno,
+                               f"{col}={v} is not one of the usual -0.10/0/0.10 steps")
+        out[country.code] = country
     return out
 
 
 def _load_enterprises(path, report) -> dict[tuple[str, str], float]:
-    out: dict[tuple[str, str], float] = {}
-    for lineno, row in _read_rows(path, "enterprises.csv",
-                                  ("country", "size_class", "count"), (), report):
-        country = row["country"].strip()
+    def parse(row):
         size_class = row["size_class"].strip()
         if size_class not in SIZE_CLASSES:
-            report.error("enterprises.csv", lineno,
-                         f"unknown size class {size_class!r}; expected one of "
-                         + ", ".join(SIZE_CLASSES))
-            continue
-        try:
-            count = _parse_float(row["count"], "count")
-        except DataError as err:
-            report.error("enterprises.csv", lineno, str(err))
-            continue
+            raise DataError(f"unknown size class {size_class!r}; expected one of "
+                            + ", ".join(SIZE_CLASSES))
+        count = _parse_float(row["count"], "count")
         if count < 0:
-            report.error("enterprises.csv", lineno, f"negative enterprise count {count}")
-            continue
-        key = (country, size_class)
-        if key in out:
-            report.error("enterprises.csv", lineno,
-                         f"duplicate enterprise row for {country}/{size_class}")
-            continue
-        out[key] = count
-    return out
+            raise DataError(f"negative enterprise count {count}")
+        return (row["country"].strip(), size_class), count
+
+    rows = _parsed_rows(path, report, "enterprises.csv", ("country", "size_class", "count"),
+                        parse, itemgetter(0), "enterprise row for {0[0][0]}/{0[0][1]}")
+    return dict(value for _, value in rows)
 
 
 def _load_intervals(path, report) -> list[CoverageInterval]:
+    def parse(row):
+        return CoverageInterval(
+            region=row["region"].strip(),
+            technology=_parse_enum(row["technology"].strip(), TechClass, "technology"),
+            low=_parse_float(row["band_low"], "band_low"),
+            high=_parse_float(row["band_high"], "band_high"),
+            vintage=_parse_int(row["vintage"], "vintage"),
+        )
+
     out = []
-    seen = set()
     cols = ("region", "technology", "band_low", "band_high", "vintage")
-    for lineno, row in _read_rows(path, "coverage_intervals.csv", cols, (), report):
-        try:
-            iv = CoverageInterval(
-                region=row["region"].strip(),
-                technology=_parse_enum(row["technology"].strip(), TechClass, "technology"),
-                low=_parse_float(row["band_low"], "band_low"),
-                high=_parse_float(row["band_high"], "band_high"),
-                vintage=_parse_int(row["vintage"], "vintage"),
-            )
-        except DataError as err:
-            report.error("coverage_intervals.csv", lineno, str(err))
-            continue
-        key = (iv.region, iv.technology)
-        if key in seen:
-            report.error("coverage_intervals.csv", lineno,
-                         f"duplicate interval for {iv.region}/{iv.technology.value}")
-            continue
-        seen.add(key)
+    for lineno, iv in _parsed_rows(path, report, "coverage_intervals.csv", cols, parse,
+                                   attrgetter("region", "technology"),
+                                   "interval for {0.region}/{0.technology.value}"):
         if all(abs(iv.low - lo) > 1e-9 or abs(iv.high - hi) > 1e-9
                for lo, hi in PUBLISHED_BANDS):
             report.warning("coverage_intervals.csv", lineno,
@@ -370,94 +366,64 @@ def _load_intervals(path, report) -> list[CoverageInterval]:
 
 
 def _load_national(path, report) -> list[NationalFigure]:
-    out = []
-    seen = set()
+    def parse(row):
+        return NationalFigure(
+            country=row["country"].strip(),
+            technology=_parse_enum(row["technology"].strip(), TechClass, "technology"),
+            coverage=_parse_float(row["coverage"], "coverage"),
+            vintage=_parse_int(row["vintage"], "vintage"),
+        )
+
     cols = ("country", "technology", "coverage", "vintage")
-    for lineno, row in _read_rows(path, "coverage_national.csv", cols, (), report):
-        try:
-            nf = NationalFigure(
-                country=row["country"].strip(),
-                technology=_parse_enum(row["technology"].strip(), TechClass, "technology"),
-                coverage=_parse_float(row["coverage"], "coverage"),
-                vintage=_parse_int(row["vintage"], "vintage"),
-            )
-        except DataError as err:
-            report.error("coverage_national.csv", lineno, str(err))
-            continue
-        key = (nf.country, nf.technology)
-        if key in seen:
-            report.error("coverage_national.csv", lineno,
-                         f"duplicate national figure for {nf.country}/{nf.technology.value}")
-            continue
-        seen.add(key)
-        out.append(nf)
-    return out
+    return [nf for _, nf in _parsed_rows(
+        path, report, "coverage_national.csv", cols, parse,
+        attrgetter("country", "technology"),
+        "national figure for {0.country}/{0.technology.value}")]
 
 
 def _load_cost_references(path, report) -> list[CostReference]:
-    out = []
+    def parse(row):
+        raw_geotype = row["geotype"].strip()
+        return CostReference(
+            action=_parse_enum(row["action"].strip(), CostAction, "action"),
+            geotype=_parse_enum(raw_geotype, Geotype, "geotype") if raw_geotype else None,
+            granularity=_parse_enum(row["granularity"].strip(), Granularity, "granularity"),
+            value_eur=_parse_float(row["value_eur"], "value_eur"),
+            price_year=_parse_int(row["price_year"], "price_year"),
+            source=row["source_id"].strip(),
+        )
+
     cols = ("action", "geotype", "granularity", "value_eur", "price_year", "source_id")
-    for lineno, row in _read_rows(path, "cost_references.csv", cols, (), report):
-        try:
-            action = _parse_enum(row["action"].strip(), CostAction, "action")
-            raw_geotype = (row["geotype"] or "").strip()
-            geotype = _parse_enum(raw_geotype, Geotype, "geotype") if raw_geotype else None
-            ref = CostReference(
-                action=action,
-                geotype=geotype,
-                granularity=_parse_enum(row["granularity"].strip(), Granularity,
-                                        "granularity"),
-                value_eur=_parse_float(row["value_eur"], "value_eur"),
-                price_year=_parse_int(row["price_year"], "price_year"),
-                source=(row["source_id"] or "").strip(),
-            )
-        except DataError as err:
-            report.error("cost_references.csv", lineno, str(err))
-            continue
-        out.append(ref)
-    return out
+    return [ref for _, ref in _parsed_rows(path, report, "cost_references.csv", cols, parse)]
 
 
 def _load_price_index(path, report) -> dict[int, float]:
-    out: dict[int, float] = {}
-    for lineno, row in _read_rows(path, "price_index.csv",
-                                  ("year", "multiplier"), (), report):
-        try:
-            year = _parse_int(row["year"], "year")
-            multiplier = _parse_float(row["multiplier"], "multiplier")
-        except DataError as err:
-            report.error("price_index.csv", lineno, str(err))
-            continue
+    def parse(row):
+        year = _parse_int(row["year"], "year")
+        multiplier = _parse_float(row["multiplier"], "multiplier")
         if multiplier <= 0:
-            report.error("price_index.csv", lineno, f"multiplier must be positive: {multiplier}")
-            continue
-        if year in out:
-            report.error("price_index.csv", lineno, f"duplicate year {year}")
-            continue
-        out[year] = multiplier
-    return out
+            raise DataError(f"multiplier must be positive: {multiplier}")
+        return year, multiplier
+
+    rows = _parsed_rows(path, report, "price_index.csv", ("year", "multiplier"), parse,
+                        itemgetter(0), "year {0[0]}")
+    return dict(value for _, value in rows)
 
 
 def _load_cohesion(path, report) -> dict[str, bool]:
-    out: dict[str, bool] = {}
-    for lineno, row in _read_rows(path, "cohesion.csv",
-                                  ("region", "is_cohesion"), (), report):
-        region = row["region"].strip()
-        try:
-            flag = _parse_bool(row["is_cohesion"], "is_cohesion")
-        except DataError as err:
-            report.error("cohesion.csv", lineno, str(err))
-            continue
-        if region in out:
-            report.error("cohesion.csv", lineno, f"duplicate cohesion row for {region}")
-            continue
-        out[region] = flag
-    return out
+    def parse(row):
+        return row["region"].strip(), _parse_bool(row["is_cohesion"], "is_cohesion")
+
+    rows = _parsed_rows(path, report, "cohesion.csv", ("region", "is_cohesion"), parse,
+                        itemgetter(0), "cohesion row for {0[0]}")
+    return dict(value for _, value in rows)
 
 
 def _cross_checks(report, regions, localities, countries, enterprises,
                   intervals, national, cost_refs, price_index, cohesion) -> None:
+    country_members: dict[str, set[str]] = {}
     for region in regions.values():
+        country_members.setdefault(region.country, set()).add(region.id)
         if region.country not in countries:
             report.error("regions.csv", 0,
                          f"region {region.id} references unknown country {region.country}")
@@ -522,8 +488,7 @@ def _cross_checks(report, regions, localities, countries, enterprises,
     for pair in sorted(pairs_with_intervals, key=lambda p: (p[0], p[1].value)):
         country, tech = pair
         have = pairs_with_intervals[pair]
-        members = {r for r, c in region_country.items() if c == country}
-        missing = sorted(members - have)
+        missing = sorted(country_members[country] - have)
         if missing:
             report.error("coverage_intervals.csv", 0,
                          f"{country}/{tech.value}: intervals missing for regions "
@@ -552,21 +517,21 @@ def _cross_checks(report, regions, localities, countries, enterprises,
 # ---------------------------------------------------------------------------
 # bundled data
 
-def default_cost_references() -> list[CostReference]:
-    """EU-wide default unit cost references (2019 prices)."""
+def _load_bundled(load):
     report = ValidationReport(dataset="defaults")
-    refs = _load_cost_references(defaults_path(), report)
+    value = load(defaults_path(), report)
     if not report.ok:  # bundled data must parse
         raise DataError("; ".join(str(e) for e in report.errors))
-    return refs
+    return value
+
+
+def default_cost_references() -> list[CostReference]:
+    """EU-wide default unit cost references (2019 prices)."""
+    return _load_bundled(_load_cost_references)
 
 
 def default_price_index() -> dict[int, float]:
-    report = ValidationReport(dataset="defaults")
-    index = _load_price_index(defaults_path(), report)
-    if not report.ok:
-        raise DataError("; ".join(str(e) for e in report.errors))
-    return index
+    return _load_bundled(_load_price_index)
 
 
 def eu_preparedness_table() -> list[dict]:

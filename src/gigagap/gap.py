@@ -39,7 +39,7 @@ UPGRADE_ROUTES = {
     TechClass.DOCSIS_30: CostAction.UPGRADE_DOCSIS30_TO_31,
 }
 
-_GBPS1_TECHS = frozenset({TechClass.FTTH_1G, TechClass.DOCSIS_31})
+_GBPS1_TECHS = cov._TIER_TECHS[CapabilityTier.GBPS_1]
 # Fixed-network routes without the cable upgrade. _item_paths hands this
 # and UPGRADE_ROUTES to every item, so neither may be mutated.
 _FIXED_ROUTES = {t: a for t, a in UPGRADE_ROUTES.items() if t is not TechClass.DOCSIS_30}

@@ -55,6 +55,16 @@ class TestValidate:
         assert "FAILED" in proc.stdout
         assert "enterprises.csv" in proc.stdout
 
+    def test_short_row_fails_without_traceback(self, fixture_dir, tmp_path):
+        broken = tmp_path / "data"
+        shutil.copytree(fixture_dir, broken)
+        with open(broken / "regions.csv", "a", encoding="utf-8") as fh:
+            fh.write("FR999\n")
+        proc = gigagap("validate", "--dataset", str(broken))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert re.search(r"regions\.csv:\d+: expected 5 fields, got 1", proc.stdout)
+
 
 class TestRun:
     def test_baseline_run_writes_all_outputs(self, baseline_out):

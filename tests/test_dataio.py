@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -26,6 +27,10 @@ def edit_csv(path: Path, fn):
     rows = fn(rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+# Every dataset file whose rows carry a key that must not repeat.
+KEYED_FILES = tuple(f for f in dataio.DATASET_FILES if f != "cost_references.csv")
 
 
 def errors_for(path) -> list[str]:
@@ -69,10 +74,30 @@ class TestValidation:
         msgs = errors_for(broken_copy)
         assert any("ZZ999" in m for m in msgs)
 
-    def test_duplicate_region_id(self, broken_copy):
-        edit_csv(broken_copy / "regions.csv", lambda rows: rows + [rows[1]])
+    @pytest.mark.parametrize("filename", KEYED_FILES)
+    def test_duplicate_region_id(self, broken_copy, filename):
+        rows = list(csv.reader((broken_copy / filename).open(newline="")))
+        edit_csv(broken_copy / filename, lambda rows: rows + [rows[1]])
         msgs = errors_for(broken_copy)
-        assert any("duplicate" in m for m in msgs)
+        where = f"{filename}:{len(rows) + 1}:"
+        assert any(where in m and "duplicate" in m for m in msgs)
+
+    @pytest.mark.parametrize("filename", dataio.DATASET_FILES)
+    def test_short_row_is_reported_with_its_line(self, broken_copy, filename):
+        rows = list(csv.reader((broken_copy / filename).open(newline="")))
+        edit_csv(broken_copy / filename, lambda rows: rows + [["x"]])
+        msgs = [m for m in errors_for(broken_copy) if "fields" in m]
+        assert len(msgs) == 1
+        assert re.fullmatch(rf"ERROR {filename}:{len(rows) + 1}: expected \d+ fields, got 1",
+                            msgs[0])
+
+    def test_countries_without_optional_bands_validate(self, broken_copy):
+        edit_csv(broken_copy / "countries.csv",
+                 lambda rows: rows[:1] + [r[:-2] for r in rows[1:]])
+        ds, report = dataio.validate_dataset(broken_copy)
+        assert report.ok
+        assert all(c.docsis_band is None and c.fttp_band is None
+                   for c in ds.countries.values())
 
     def test_interval_band_low_above_high(self, broken_copy):
         def swap(rows):

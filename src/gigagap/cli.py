@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import dataio, gap
-from .errors import DataError, GigagapError
+from .errors import DataError, DatasetValidationError, GigagapError
 from .targets import SCENARIO_PRESETS, Scenario, Target, scenario_from_config
 
 log = logging.getLogger(__name__)
@@ -284,6 +284,11 @@ def main(argv: list[str] | None = None) -> int:
     except PermissionError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except DatasetValidationError as err:
+        for entry in err.report.errors:
+            print(str(entry), file=sys.stderr)
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     except GigagapError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import coverage as cov
 from . import geo
@@ -22,7 +22,7 @@ from . import targets as tg
 from .costs import CostAction, CostTable
 from .coverage import CapabilityTier, CoverageState, TechClass
 from .errors import CostTableError, DataError
-from .geo import GeoFrame, Geotype
+from .geo import _GEOTYPE_ORDER, GeoFrame, Geotype
 from .targets import DemandItem, Scenario, Target, Unit
 
 log = logging.getLogger(__name__)
@@ -30,6 +30,7 @@ log = logging.getLogger(__name__)
 _ACTION_ORDER = {a: i for i, a in enumerate(CostAction)}
 _TARGET_ORDER = {t: i for i, t in enumerate(Target)}
 _TOTAL_KEYS = {t: t.value.lower() for t in Target}  # T2_URBAN -> "t2_urban"
+_UNIT_VALUE = {u: u.value for u in Unit}
 
 # Upgrade route offered by each already-deployed technology.
 UPGRADE_ROUTES = {
@@ -39,13 +40,20 @@ UPGRADE_ROUTES = {
     TechClass.DOCSIS_30: CostAction.UPGRADE_DOCSIS30_TO_31,
 }
 
-_GBPS1_TECHS = cov._TIER_TECHS[CapabilityTier.GBPS_1]
-# Fixed-network routes without the cable upgrade. _item_paths hands this
-# and UPGRADE_ROUTES to every item, so neither may be mutated.
+# Fixed-network routes without the cable upgrade.
 _FIXED_ROUTES = {t: a for t, a in UPGRADE_ROUTES.items() if t is not TechClass.DOCSIS_30}
+_NO_ROUTES: dict = {}
+
+# Technologies that already satisfy an item. _item_paths returns only
+# these constants and the three route dicts above, which it hands to
+# every item, so none of them may be mutated.
+_FIVE_G_ONLY = frozenset({TechClass.FIVE_G})
+_FTTH_1G_ONLY = frozenset({TechClass.FTTH_1G})
+_GIGABIT = cov._TIER_TECHS[CapabilityTier.GBPS_1]
+_GIGABIT_OR_5G = _GIGABIT | _FIVE_G_ONLY
 
 
-@dataclass
+@dataclass(slots=True)
 class GapCell:
     """Investment needed for one (target, region, geotype, action)."""
 
@@ -76,6 +84,10 @@ class RunOptions:
         if not (math.isfinite(self.relax_intervals) and self.relax_intervals >= 0):
             raise DataError(f"relax_intervals must be a finite number >= 0, "
                             f"got {self.relax_intervals}")
+        for name in ("already_covered_road_fraction", "already_covered_rail_fraction"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and 0.0 <= value <= 1.0):
+                raise DataError(f"{name} must be a finite number in [0, 1], got {value}")
 
 
 @dataclass
@@ -151,21 +163,22 @@ class GapReport:
 
 def _item_paths(item: DemandItem, country: geo.Country, scenario: Scenario):
     """Satisfying technologies, admissible upgrade routes and the new
-    build action (the item's required action) for one demand item."""
+    build action (the item's required action) for one demand item.
+    The first two are always module constants."""
     if item.target in (Target.T1, Target.T2_URBAN):
-        return frozenset({TechClass.FIVE_G}), {}, item.required_action
+        return _FIVE_G_ONLY, _NO_ROUTES, item.required_action
     if item.target not in (Target.T3, Target.T4):
         raise DataError(f"no path rules for target {item.target}")
 
     if item.target is Target.T3 and item.geotype is Geotype.EXTREMELY_RURAL:
         # Enterprises out here need full fibre; cable does not count.
-        return frozenset({TechClass.FTTH_1G}), _FIXED_ROUTES, item.required_action
+        return _FTTH_1G_ONLY, _FIXED_ROUTES, item.required_action
     routes = (UPGRADE_ROUTES if country.cable_dominant and scenario.docsis_upgrade
               else _FIXED_ROUTES)
     if item.target is Target.T4 and item.required_action.wireless:
         # T4 served by 5G here, so existing 5G already meets it
-        return _GBPS1_TECHS | {TechClass.FIVE_G}, routes, item.required_action
-    return _GBPS1_TECHS, routes, item.required_action
+        return _GIGABIT_OR_5G, routes, item.required_action
+    return _GIGABIT, routes, item.required_action
 
 
 def footprint_partition(state: CoverageState, region: str, geotype: Geotype,
@@ -210,12 +223,16 @@ def footprint_partition(state: CoverageState, region: str, geotype: Geotype,
 
 def gap_for_item(item: DemandItem, state: CoverageState, table: CostTable,
                  frame: GeoFrame, scenario: Scenario,
-                 options: RunOptions | None = None) -> list[GapCell]:
+                 options: RunOptions | None = None,
+                 partitions: dict | None = None) -> list[GapCell]:
     """Price one demand item into zero or more gap cells.
 
     Transport items are priced per km. Premise items are reduced by the
     footprint that already satisfies the demand and split over the
-    cheapest admissible routes.
+    cheapest admissible routes. That split depends only on the cell,
+    its route rule, the state and the table, so it is kept in
+    `partitions` (PreparedInputs.partitions) and reused; with None it
+    is computed for this item alone.
     """
     options = options or RunOptions()
     country = frame.countries[frame.regions[item.region].country]
@@ -223,8 +240,6 @@ def gap_for_item(item: DemandItem, state: CoverageState, table: CostTable,
     if item.unit in (Unit.KM_ROAD, Unit.KM_RAIL):
         already = (options.already_covered_road_fraction if item.unit is Unit.KM_ROAD
                    else options.already_covered_rail_fraction)
-        if not 0.0 <= already <= 1.0:
-            raise DataError(f"already-covered fraction {already} outside [0, 1]")
         quantity = item.quantity * (1.0 - already)
         if quantity <= 0:
             return []
@@ -233,25 +248,43 @@ def gap_for_item(item: DemandItem, state: CoverageState, table: CostTable,
                         item.required_action, quantity, unit_cost)]
 
     satisfying, routes, newbuild = _item_paths(item, country, scenario)
-    _, slices = footprint_partition(state, item.region, item.geotype,
-                                    satisfying, routes, newbuild, table, country.code)
-    by_action: dict[CostAction, tuple[float, float]] = {}
-    for width, action, unit_cost in slices:
-        qty, _ = by_action.get(action, (0.0, unit_cost))
-        by_action[action] = (qty + item.quantity * width, unit_cost)
+    # _item_paths returns constants, and only the five-G-only rule has no
+    # routes, so "routes is UPGRADE_ROUTES" tells the three route dicts apart.
+    key = (item.region, item.geotype, satisfying, routes is UPGRADE_ROUTES, newbuild)
+    if partitions is None:
+        partitions = {}
+    priced = partitions.get(key)
+    if priced is None:
+        _, slices = footprint_partition(state, item.region, item.geotype,
+                                        satisfying, routes, newbuild, table, country.code)
+        by_action: dict[CostAction, tuple[tuple[float, ...], float]] = {}
+        for width, action, unit_cost in slices:
+            widths, _ = by_action.get(action, ((), unit_cost))
+            by_action[action] = (widths + (width,), unit_cost)
+        # A tuple, not a list: most cells are fully satisfied, and they all
+        # share the empty tuple.
+        priced = partitions[key] = tuple(
+            (action, unit_cost, widths)
+            for action, (widths, unit_cost) in sorted(
+                by_action.items(), key=lambda kv: _ACTION_ORDER[kv[0]]))
+
     cells = []
-    for action in sorted(by_action, key=lambda a: _ACTION_ORDER[a]):
-        quantity, unit_cost = by_action[action]
+    for action, unit_cost, widths in priced:
+        quantity = 0.0  # summed slice by slice, in slice order
+        for width in widths:
+            quantity += item.quantity * width
         if quantity > 0:
             cells.append(GapCell(item.target, item.region, item.geotype, item.unit,
                                  action, quantity, unit_cost))
     return cells
 
 
-def _cells_for_items(items: list[DemandItem], state: CoverageState, table: CostTable,
-                     frame: GeoFrame, scenario: Scenario, options: RunOptions) -> list[GapCell]:
+def _cells_for_items(items: list[DemandItem], prepared: PreparedInputs,
+                     scenario: Scenario, options: RunOptions) -> list[GapCell]:
+    state, table, frame, partitions = (prepared.state, prepared.table, prepared.frame,
+                                       prepared.partitions)
     return [cell for item in items
-            for cell in gap_for_item(item, state, table, frame, scenario, options)]
+            for cell in gap_for_item(item, state, table, frame, scenario, options, partitions)]
 
 
 def dedup_t3_over_t4(items: list[DemandItem], scenario: Scenario) -> list[DemandItem]:
@@ -271,14 +304,15 @@ def dedup_t3_over_t4(items: list[DemandItem], scenario: Scenario) -> list[Demand
             continue
         quantity = item.quantity - item.enterprise_locations
         if quantity > 0:
-            out.append(replace(item, quantity=quantity))
+            out.append(DemandItem(item.target, item.region, item.geotype, item.unit,
+                                  quantity, item.required_action, item.enterprise_locations))
     return out
 
 
 def _sorted_cells(cells: list[GapCell]) -> list[GapCell]:
     return sorted(cells, key=lambda c: (
-        _TARGET_ORDER[c.target], c.region, c.geotype.order,
-        _ACTION_ORDER[c.action], c.unit.value,
+        _TARGET_ORDER[c.target], c.region, _GEOTYPE_ORDER[c.geotype],
+        _ACTION_ORDER[c.action], _UNIT_VALUE[c.unit],
     ))
 
 
@@ -330,13 +364,23 @@ def _households_total(cells: list[GapCell], regions: dict[str, RegionSummary]) -
 
 @dataclass
 class PreparedInputs:
-    """Scenario-independent pipeline inputs, reusable across runs."""
+    """Scenario-independent pipeline inputs, reusable across runs.
+
+    frame, state and table are read-only once prepared: every report run
+    from these inputs shares them, and so does the pricing memo, which is
+    keyed on the cell and route rule alone. To change one, build a new
+    PreparedInputs; it starts with an empty memo (dataclasses.replace
+    included, as partitions is not an init field).
+    """
 
     frame: GeoFrame
     state: CoverageState
     table: CostTable
     # Read-only, as every report run from these inputs shares it; None: derived per run.
     regions: dict[str, RegionSummary] | None = None
+    # (region, geotype, satisfying techs, routes include DOCSIS?, new-build action)
+    # -> ((action, unit cost, slice widths), ...) in action order; filled on first use.
+    partitions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def prepare_inputs(dataset, options: RunOptions | None = None) -> PreparedInputs:
@@ -369,19 +413,17 @@ def run_scenario(dataset, scenario: Scenario, options: RunOptions | None = None,
     options = options or RunOptions()
     if prepared is None:
         prepared = prepare_inputs(dataset, options)
-    frame, state, table = prepared.frame, prepared.state, prepared.table
+    frame, state = prepared.frame, prepared.state
     demands = tg.build_demands(frame, scenario)
 
-    standalone = {t: _sorted_cells(_cells_for_items(demands[t], state, table, frame,
-                                                    scenario, options))
+    standalone = {t: _sorted_cells(_cells_for_items(demands[t], prepared, scenario, options))
                   for t in Target if only_targets is None or t in only_targets}
 
     regions = prepared.regions or _region_summaries(dataset, frame, state)
 
     if only_targets is None:
         t3_composed = _sorted_cells(_cells_for_items(
-            dedup_t3_over_t4(demands[Target.T3], scenario),
-            state, table, frame, scenario, options))
+            dedup_t3_over_t4(demands[Target.T3], scenario), prepared, scenario, options))
         capitals = frozenset(c.capital_region for c in frame.countries.values())
         cells, totals = compose_egs(standalone, t3_composed, capitals)
         totals["egs_households"] = _households_total(cells, regions)
@@ -435,7 +477,7 @@ def subtract_operator_investment(report: GapReport,
     """
     def consume(cells: list[GapCell], pool: float) -> tuple[float, dict[str, float]]:
         order = sorted(cells, key=lambda c: (
-            c.unit_cost_eur, c.region, c.geotype.order,
+            c.unit_cost_eur, c.region, _GEOTYPE_ORDER[c.geotype],
             _TARGET_ORDER[c.target], _ACTION_ORDER[c.action]))
         left = pool
         used_by_region: dict[str, float] = {}

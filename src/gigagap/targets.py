@@ -161,7 +161,7 @@ def household_equivalents(counts: dict[str, float]) -> float:
     return total
 
 
-@dataclass
+@dataclass(slots=True)
 class DemandItem:
     """Quantity of one target to serve in one region-geotype cell.
 

@@ -67,6 +67,18 @@ class TestValidate:
 
 
 class TestRun:
+    def test_invalid_dataset_lists_errors_and_fails(self, fixture_dir, tmp_path):
+        broken = tmp_path / "data"
+        shutil.copytree(fixture_dir, broken)
+        with open(broken / "regions.csv", "a", encoding="utf-8") as fh:
+            fh.write("FR999\n")
+        line = len((broken / "regions.csv").read_text(encoding="utf-8").splitlines())
+        proc = gigagap("run", "--dataset", str(broken), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"ERROR regions.csv:{line}: expected 5 fields, got 1" in proc.stderr
+        assert proc.stderr.rstrip().endswith("dataset validation failed with 1 error(s)")
+
     def test_baseline_run_writes_all_outputs(self, baseline_out):
         out, proc = baseline_out
         for name in OUTPUT_FILES:

@@ -18,6 +18,7 @@ from gigagap.gap import (
     footprint_partition,
     gap_for_item,
     histogram_gap_shares,
+    prepare_inputs,
     run_scenario,
     subtract_operator_investment,
 )
@@ -169,6 +170,15 @@ class TestGapForItem:
             gap_for_item(item, prepared.state, prepared.table, prepared.frame,
                          BASELINE, RunOptions(already_covered_road_fraction=1.5))
 
+    @pytest.mark.parametrize("name", ["already_covered_road_fraction",
+                                      "already_covered_rail_fraction"])
+    @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan")])
+    def test_bad_fraction_rejected_without_transport_items(self, dataset, prepared,
+                                                           name, value):
+        with pytest.raises(DataError, match=name):
+            run_scenario(dataset, BASELINE, RunOptions(**{name: value}),
+                         prepared=prepared, only_targets={Target.T1})
+
 
 class TestDedup:
     def item(self, geotype, qty=100.0, locations=30.0):
@@ -296,6 +306,49 @@ class TestRunScenario:
         bare = PreparedInputs(frame=prepared.frame, state=prepared.state,
                               table=prepared.table)
         assert run_scenario(dataset, BASELINE, prepared=bare).regions == fresh.regions
+
+
+class TestPricingMemo:
+    """PreparedInputs.partitions, shared across runs, changes no result."""
+
+    OPERATORS = (OperatorInvestment(),
+                 OperatorInvestment(fixed_per_year_eur=1e12, wireless_per_year_eur=2e9))
+    POINTS = [(preset, op, only) for preset in sorted(SCENARIO_PRESETS)
+              for op in range(2) for only in (None, frozenset({Target.T1, Target.T3, Target.T4}))]
+
+    def run(self, dataset, point, prepared=None):
+        preset, op, only = point
+        report = run_scenario(dataset, SCENARIO_PRESETS[preset], scenario_name=preset,
+                              operator=self.OPERATORS[op], only_targets=only,
+                              prepared=prepared)
+        return (report.cells, report.totals, report.country_totals,
+                report.geotype_totals, report.operator)
+
+    def test_shared_inputs_match_fresh_ones_in_any_order(self, dataset):
+        fresh = {point: self.run(dataset, point) for point in self.POINTS}
+        for order in (self.POINTS, self.POINTS[::-1]):
+            shared = prepare_inputs(dataset)
+            for point in order:
+                assert self.run(dataset, point, shared) == fresh[point], point
+            assert shared.partitions
+
+    def test_inputs_never_share_a_memo(self, dataset, prepared):
+        run_scenario(dataset, BASELINE, prepared=prepared)
+        assert prepared.partitions
+        entries = {k: 1.0 for k in prepared.state.entries}
+        raised = CoverageState(vintage=prepared.state.vintage, entries=entries)
+        copies = [PreparedInputs(frame=prepared.frame, state=raised, table=prepared.table),
+                  dataclasses.replace(prepared, state=raised),
+                  prepare_inputs(dataset)]
+        for copy in copies:
+            assert copy.partitions == {}
+            assert copy.partitions is not prepared.partitions
+        memos = [c.partitions for c in copies]
+        assert len({id(m) for m in memos}) == len(memos)
+        # Full coverage satisfies every premise; a memo shared with
+        # `prepared` would price T4 as before.
+        for copy in copies[:2]:
+            assert run_scenario(dataset, BASELINE, prepared=copy).totals["t4"] == 0.0
 
 
 def sweep_oracle(report, operator):

@@ -63,7 +63,7 @@ _TIER_TECHS = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class CoverageInterval:
     """Band constraint on one region's coverage for one technology."""
 
@@ -93,7 +93,7 @@ class CoverageInterval:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class NationalFigure:
     """Country-level coverage share for one technology."""
 

@@ -586,19 +586,12 @@ def eu_cable_fibre_bands() -> dict[str, tuple[str, str]]:
 # ---------------------------------------------------------------------------
 # report writing
 
-def _fmt(value) -> str:
-    """Lossless text form for CSV output."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """csv.writer writes a float as its repr, so the text is lossless."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def summary_dict(report: "GapReport") -> dict:

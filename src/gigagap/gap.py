@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 import statistics
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from . import coverage as cov
@@ -55,7 +56,10 @@ _GIGABIT_OR_5G = _GIGABIT | _FIVE_G_ONLY
 
 @dataclass(slots=True)
 class GapCell:
-    """Investment needed for one (target, region, geotype, action)."""
+    """Investment needed for one (target, region, geotype, action).
+
+    Read-only once built: the reports run from one PreparedInputs share
+    their cells through PreparedInputs.priced."""
 
     target: Target
     region: str
@@ -64,10 +68,10 @@ class GapCell:
     action: CostAction
     quantity: float
     unit_cost_eur: float
+    investment_eur: float = field(init=False)
 
-    @property
-    def investment_eur(self) -> float:
-        return self.quantity * self.unit_cost_eur
+    def __post_init__(self):
+        self.investment_eur = self.quantity * self.unit_cost_eur
 
 
 @dataclass
@@ -279,14 +283,6 @@ def gap_for_item(item: DemandItem, state: CoverageState, table: CostTable,
     return cells
 
 
-def _cells_for_items(items: list[DemandItem], prepared: PreparedInputs,
-                     scenario: Scenario, options: RunOptions) -> list[GapCell]:
-    state, table, frame, partitions = (prepared.state, prepared.table, prepared.frame,
-                                       prepared.partitions)
-    return [cell for item in items
-            for cell in gap_for_item(item, state, table, frame, scenario, options, partitions)]
-
-
 def dedup_t3_over_t4(items: list[DemandItem], scenario: Scenario) -> list[DemandItem]:
     """Remove T3 demand that composing with T4 already builds.
 
@@ -316,24 +312,66 @@ def _sorted_cells(cells: list[GapCell]) -> list[GapCell]:
     ))
 
 
-def _total(cells: list[GapCell]) -> float:
+# The pricing stage of the composed T3 list: T3 net of T4 (dedup_t3_over_t4).
+T3_COMPOSED = "t3_composed"
+
+# Pricing stage -> (Scenario fields, RunOptions fields) that its sorted cells
+# read, besides the PreparedInputs. PreparedInputs.priced is keyed on exactly
+# these: a field missing here would hand one scenario the cells of another.
+PRICED_KEYS = {
+    Target.T1: (("t1_quality",), ()),
+    Target.T2_URBAN: (("t2_quality",), ()),
+    Target.T2_TRANSPORT: (("t2_quality",), ("already_covered_road_fraction",
+                                            "already_covered_rail_fraction")),
+    Target.T3: (("t3_tier", "docsis_upgrade"), ()),
+    Target.T4: (("t4_wireless", "docsis_upgrade"), ()),
+    T3_COMPOSED: (("t3_tier", "t4_wireless", "docsis_upgrade"), ()),
+}
+
+
+def _priced_cells(prepared: PreparedInputs, scenario: Scenario, options: RunOptions,
+                  stages: list) -> dict:
+    """Stage -> its sorted cells (a tuple), from prepared.priced.
+
+    Demands are built, in one build_demands call, only for the stages
+    whose key misses; the composed T3 list is derived from T3's demands.
+    """
+    keys = {stage: (stage, *(getattr(scenario, f) for f in PRICED_KEYS[stage][0]),
+                    *(getattr(options, f) for f in PRICED_KEYS[stage][1]))
+            for stage in stages}
+    missing = [stage for stage in stages if keys[stage] not in prepared.priced]
+    if missing:
+        demands = tg.build_demands(prepared.frame, scenario,
+                                   {Target.T3 if s is T3_COMPOSED else s for s in missing})
+        if T3_COMPOSED in missing:
+            demands[T3_COMPOSED] = dedup_t3_over_t4(demands[Target.T3], scenario)
+        args = (prepared.state, prepared.table, prepared.frame, scenario, options,
+                prepared.partitions)
+        for stage in missing:
+            prepared.priced[keys[stage]] = tuple(_sorted_cells(
+                [cell for item in demands[stage] for cell in gap_for_item(item, *args)]))
+    return {stage: prepared.priced[keys[stage]] for stage in stages}
+
+
+def _total(cells: Sequence[GapCell]) -> float:
     return sum(c.investment_eur for c in cells)
 
 
-def compose_egs(standalone: dict[Target, list[GapCell]],
-                t3_composed: list[GapCell],
+def compose_egs(standalone: dict[Target, Sequence[GapCell]],
+                t3_composed: Sequence[GapCell],
                 capitals: frozenset[str]) -> tuple[list[GapCell], dict[str, float]]:
     """Assemble the overall programme from per-target cells.
 
     T1 already covers the urban side of T2 inside capital regions, so
     those T2 cells drop out. The T3 cells passed in must already be
-    deduplicated against T4. Every list passed in must be sorted as
-    _sorted_cells sorts: the composed list is their concatenation in
-    Target order, and each total sums its list in the order given.
+    deduplicated against T4. Every sequence passed in must be sorted as
+    _sorted_cells sorts: the composed list is a new list, their
+    concatenation in Target order, and each total sums its sequence in
+    the order given.
     """
     t2_urban_kept = [c for c in standalone[Target.T2_URBAN] if c.region not in capitals]
-    composed = (standalone[Target.T1] + t2_urban_kept + standalone[Target.T2_TRANSPORT]
-                + t3_composed + standalone[Target.T4])
+    composed = [*standalone[Target.T1], *t2_urban_kept, *standalone[Target.T2_TRANSPORT],
+                *t3_composed, *standalone[Target.T4]]
 
     totals = {_TOTAL_KEYS[t]: _total(standalone[t]) for t in Target}
     totals["t2_after_t1"] = _total(t2_urban_kept) + totals["t2_transport"]
@@ -367,10 +405,15 @@ class PreparedInputs:
     """Scenario-independent pipeline inputs, reusable across runs.
 
     frame, state and table are read-only once prepared: every report run
-    from these inputs shares them, and so does the pricing memo, which is
-    keyed on the cell and route rule alone. To change one, build a new
-    PreparedInputs; it starts with an empty memo (dataclasses.replace
-    included, as partitions is not an init field).
+    from these inputs shares them, and so do two memos, filled on first
+    use. partitions is keyed on the cell and route rule alone. priced
+    holds each pricing stage's sorted cells, keyed on exactly the fields
+    PRICED_KEYS names for it, so the reports run from these inputs share
+    read-only GapCells (each report has its own cells list). Each
+    distinct pair of already-covered transport fractions adds one
+    T2_TRANSPORT entry per t2_quality run. To change frame, state or
+    table, build a new PreparedInputs; it starts with empty memos
+    (dataclasses.replace included, as neither memo is an init field).
     """
 
     frame: GeoFrame
@@ -379,8 +422,10 @@ class PreparedInputs:
     # Read-only, as every report run from these inputs shares it; None: derived per run.
     regions: dict[str, RegionSummary] | None = None
     # (region, geotype, satisfying techs, routes include DOCSIS?, new-build action)
-    # -> ((action, unit cost, slice widths), ...) in action order; filled on first use.
+    # -> ((action, unit cost, slice widths), ...) in action order.
     partitions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # (stage, *the values of its PRICED_KEYS fields) -> tuple of its sorted cells.
+    priced: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def prepare_inputs(dataset, options: RunOptions | None = None) -> PreparedInputs:
@@ -406,24 +451,24 @@ def run_scenario(dataset, scenario: Scenario, options: RunOptions | None = None,
                  only_targets: set[Target] | None = None,
                  prepared: PreparedInputs | None = None) -> GapReport:
     """Full pipeline for one scenario: frame, coverage, costs, demands,
-    cells, composition and operator subtraction.
+    cells, composition and operator subtraction. Demands and cells come
+    from prepared.priced where an earlier run filled the same key.
 
     Passing operator=None skips the subtraction entirely and leaves
     report.operator unset."""
     options = options or RunOptions()
     if prepared is None:
         prepared = prepare_inputs(dataset, options)
-    frame, state = prepared.frame, prepared.state
-    demands = tg.build_demands(frame, scenario)
+    frame = prepared.frame
+    stages = [t for t in Target if only_targets is None or t in only_targets]
+    if only_targets is None:
+        stages.append(T3_COMPOSED)
+    standalone = _priced_cells(prepared, scenario, options, stages)
 
-    standalone = {t: _sorted_cells(_cells_for_items(demands[t], prepared, scenario, options))
-                  for t in Target if only_targets is None or t in only_targets}
-
-    regions = prepared.regions or _region_summaries(dataset, frame, state)
+    regions = prepared.regions or _region_summaries(dataset, frame, prepared.state)
 
     if only_targets is None:
-        t3_composed = _sorted_cells(_cells_for_items(
-            dedup_t3_over_t4(demands[Target.T3], scenario), prepared, scenario, options))
+        t3_composed = standalone.pop(T3_COMPOSED)
         capitals = frozenset(c.capital_region for c in frame.countries.values())
         cells, totals = compose_egs(standalone, t3_composed, capitals)
         totals["egs_households"] = _households_total(cells, regions)

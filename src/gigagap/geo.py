@@ -81,7 +81,7 @@ class FixedTechChoice(ModelEnum):
 COVERAGE_BAND_ORDER = ("<10", "10-25", "25-50", ">50")
 
 
-@dataclass
+@dataclass(slots=True)
 class Locality:
     """LAU2-level settlement with its degree-of-urbanisation label."""
 
@@ -102,7 +102,7 @@ class Locality:
         return self.population / self.area_km2
 
 
-@dataclass
+@dataclass(slots=True)
 class Region:
     """NUTS3 statistical region.
 
@@ -167,7 +167,7 @@ class Country:
         return order(self.docsis_band) > order(self.fttp_band)
 
 
-@dataclass
+@dataclass(slots=True)
 class GeotypeProfile:
     """Share of a region's population, area and premises per geotype.
 
@@ -181,7 +181,7 @@ class GeotypeProfile:
     premises_share: dict[Geotype, float]
 
 
-@dataclass
+@dataclass(slots=True)
 class Premises:
     """Connectable premises of one region-geotype cell."""
 

@@ -335,14 +335,16 @@ def demand_t4(frame: GeoFrame, scenario: Scenario) -> list[DemandItem]:
     return items
 
 
-def build_demands(frame: GeoFrame, scenario: Scenario) -> dict[Target, list[DemandItem]]:
-    """All standalone demand items, keyed by target (both T2 flavours
-    under their own keys)."""
-    t2 = demand_t2(frame, scenario)
-    return {
-        Target.T1: demand_t1(frame, scenario),
-        Target.T2_URBAN: [i for i in t2 if i.target is Target.T2_URBAN],
-        Target.T2_TRANSPORT: [i for i in t2 if i.target is Target.T2_TRANSPORT],
-        Target.T3: demand_t3(frame, scenario),
-        Target.T4: demand_t4(frame, scenario),
-    }
+_BUILDERS = {Target.T1: demand_t1, Target.T3: demand_t3, Target.T4: demand_t4}
+
+
+def build_demands(frame: GeoFrame, scenario: Scenario,
+                  targets=None) -> dict[Target, list[DemandItem]]:
+    """Standalone demand items of the given targets (default: all),
+    keyed by target in Target order. Both T2 flavours, each under its
+    own key, come from one demand_t2 call."""
+    wanted = [t for t in Target if targets is None or t in targets]
+    t2 = (demand_t2(frame, scenario)
+          if Target.T2_URBAN in wanted or Target.T2_TRANSPORT in wanted else [])
+    return {t: _BUILDERS[t](frame, scenario) if t in _BUILDERS
+            else [i for i in t2 if i.target is t] for t in wanted}

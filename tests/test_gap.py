@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import random
 
 import pytest
 
@@ -27,6 +29,10 @@ from gigagap.geo import Geotype
 from gigagap.targets import (
     SCENARIO_PRESETS,
     DemandItem,
+    Quality,
+    Scenario,
+    T3Tier,
+    T4WirelessScope,
     Target,
     Unit,
 )
@@ -309,42 +315,78 @@ class TestRunScenario:
 
 
 class TestPricingMemo:
-    """PreparedInputs.partitions, shared across runs, changes no result."""
+    """PreparedInputs.partitions and PreparedInputs.priced, shared across
+    runs, change no result."""
 
     OPERATORS = (OperatorInvestment(),
                  OperatorInvestment(fixed_per_year_eur=1e12, wireless_per_year_eur=2e9))
-    POINTS = [(preset, op, only) for preset in sorted(SCENARIO_PRESETS)
-              for op in range(2) for only in (None, frozenset({Target.T1, Target.T3, Target.T4}))]
+    # Every scenario: 2 x 2 x 3 x 2 x 2 = 48. The fixture has too few
+    # enterprises for the five-million tier, so those runs must raise alike.
+    SCENARIOS = [Scenario(*fields) for fields in itertools.product(
+        Quality, Quality, T3Tier, T4WirelessScope, (False, True))]
+    POINTS = [(scenario, op, only) for scenario in SCENARIOS for op in range(2)
+              for only in (None, frozenset({Target.T1, Target.T3, Target.T4}))]
 
-    def run(self, dataset, point, prepared=None):
-        preset, op, only = point
-        report = run_scenario(dataset, SCENARIO_PRESETS[preset], scenario_name=preset,
-                              operator=self.OPERATORS[op], only_targets=only,
-                              prepared=prepared)
+    def run(self, dataset, point, prepared=None, options=None):
+        scenario, op, only = point
+        try:
+            report = run_scenario(dataset, scenario, options, operator=self.OPERATORS[op],
+                                  only_targets=only, prepared=prepared)
+        except DataError as err:
+            return str(err)
         return (report.cells, report.totals, report.country_totals,
                 report.geotype_totals, report.operator)
 
     def test_shared_inputs_match_fresh_ones_in_any_order(self, dataset):
+        assert len(self.SCENARIOS) == 48
         fresh = {point: self.run(dataset, point) for point in self.POINTS}
-        for order in (self.POINTS, self.POINTS[::-1]):
+        shuffled = list(self.POINTS)
+        random.Random(20180924).shuffle(shuffled)
+        for order in (self.POINTS, self.POINTS[::-1], shuffled):
             shared = prepare_inputs(dataset)
             for point in order:
                 assert self.run(dataset, point, shared) == fresh[point], point
             assert shared.partitions
+            assert shared.priced
+
+    def test_transport_fractions_each_match_fresh_runs(self, dataset):
+        shared = prepare_inputs(dataset)
+        fractions = [(0.0, 0.0), (0.25, 0.0), (0.25, 0.5), (0.0, 0.0)]
+        for road, rail in fractions:
+            options = RunOptions(already_covered_road_fraction=road,
+                                 already_covered_rail_fraction=rail)
+            for point in [(BASELINE, 0, None), (BASELINE, 1, frozenset({Target.T2_TRANSPORT}))]:
+                assert (self.run(dataset, point, shared, options)
+                        == self.run(dataset, point, options=options)), (road, rail, point)
+        # One T2_TRANSPORT entry per distinct pair of fractions.
+        transport = [key for key in shared.priced if key[0] is Target.T2_TRANSPORT]
+        assert len(transport) == len(set(fractions))
+
+    def test_reports_never_share_a_cells_list(self, dataset, prepared):
+        reports = [run_scenario(dataset, BASELINE, prepared=prepared, operator=op,
+                                only_targets=only)
+                   for op in (None, *self.OPERATORS)
+                   for only in (None, {Target.T1}, {Target.T3})
+                   for _ in range(2)]
+        assert len({id(r.cells) for r in reports}) == len(reports)
+        # The cells themselves are shared, read-only, between reports.
+        assert reports[0].cells[0] is reports[2].cells[0]
 
     def test_inputs_never_share_a_memo(self, dataset, prepared):
         run_scenario(dataset, BASELINE, prepared=prepared)
         assert prepared.partitions
+        assert prepared.priced
         entries = {k: 1.0 for k in prepared.state.entries}
         raised = CoverageState(vintage=prepared.state.vintage, entries=entries)
         copies = [PreparedInputs(frame=prepared.frame, state=raised, table=prepared.table),
                   dataclasses.replace(prepared, state=raised),
                   prepare_inputs(dataset)]
-        for copy in copies:
-            assert copy.partitions == {}
-            assert copy.partitions is not prepared.partitions
-        memos = [c.partitions for c in copies]
-        assert len({id(m) for m in memos}) == len(memos)
+        for memo in ("partitions", "priced"):
+            for copy in copies:
+                assert getattr(copy, memo) == {}
+                assert getattr(copy, memo) is not getattr(prepared, memo)
+            memos = [getattr(c, memo) for c in copies]
+            assert len({id(m) for m in memos}) == len(memos)
         # Full coverage satisfies every premise; a memo shared with
         # `prepared` would price T4 as before.
         for copy in copies[:2]:

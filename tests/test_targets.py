@@ -216,6 +216,14 @@ class TestDemands:
         for target, items in demands.items():
             assert all(i.target is target for i in items)
 
+    def test_build_demands_builds_only_the_given_targets(self, frame):
+        full = build_demands(frame, BASELINE)
+        for wanted in ({Target.T2_TRANSPORT}, {Target.T4, Target.T1, Target.T2_URBAN}):
+            demands = build_demands(frame, BASELINE, wanted)
+            assert list(demands) == [t for t in Target if t in wanted]
+            for target, items in demands.items():
+                assert items == full[target]
+
     def test_item_validation(self):
         with pytest.raises(DataError):
             DemandItem(Target.T1, "R1", Geotype.URBAN, Unit.PREMISES,

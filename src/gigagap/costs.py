@@ -157,10 +157,15 @@ def apply_preparedness(cost_eur: float, factor: PreparednessFactor) -> float:
     return cost_eur * (1.0 - factor.combined)
 
 
-def apply_sharing(cost_eur: float, sharing_fraction: float) -> float:
-    """Reduce a cost by the infrastructure sharing fraction (max 12%)."""
+def check_sharing(sharing_fraction: float) -> None:
+    """Reject a sharing fraction outside [0, 0.12], NaN included."""
     if not 0.0 <= sharing_fraction <= 0.12:
         raise DataError(f"sharing fraction {sharing_fraction} outside [0, 0.12]")
+
+
+def apply_sharing(cost_eur: float, sharing_fraction: float) -> float:
+    """Reduce a cost by the infrastructure sharing fraction (max 12%)."""
+    check_sharing(sharing_fraction)
     return cost_eur * (1.0 - sharing_fraction)
 
 

@@ -91,7 +91,13 @@ class ValidationReport:
 
 @dataclass
 class Dataset:
-    """Fully parsed and cross-checked model inputs."""
+    """Fully parsed and cross-checked model inputs.
+
+    Read-only once loaded: gap.prepare_inputs caches in `bases` what it
+    derives from this object without the cost table, one entry per
+    relax_intervals value, for as long as the dataset lives. For a
+    variant, use dataclasses.replace; the copy starts with no bases.
+    """
 
     path: Path | None
     vintage: int
@@ -104,6 +110,8 @@ class Dataset:
     cost_references: list[CostReference]
     price_index: dict[int, float]
     cohesion: dict[str, bool]
+    # relax_intervals -> gap._Base (frame, coverage state, region summaries, cells)
+    bases: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def _read_rows(path: Path, filename: str, required: tuple[str, ...],

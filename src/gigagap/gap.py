@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from . import coverage as cov
 from . import geo
 from . import targets as tg
-from .costs import CostAction, CostTable
+from .costs import _WIRELESS_ACTIONS, CostAction, CostTable, check_sharing
 from .coverage import CapabilityTier, CoverageState, TechClass
 from .errors import CostTableError, DataError
 from .geo import _GEOTYPE_ORDER, GeoFrame, Geotype
@@ -85,6 +85,7 @@ class RunOptions:
     already_covered_rail_fraction: float = 0.0
 
     def __post_init__(self):
+        check_sharing(self.sharing_fraction)
         if not (math.isfinite(self.relax_intervals) and self.relax_intervals >= 0):
             raise DataError(f"relax_intervals must be a finite number >= 0, "
                             f"got {self.relax_intervals}")
@@ -225,6 +226,27 @@ def footprint_partition(state: CoverageState, region: str, geotype: Geotype,
     return satisfied, slices
 
 
+def cost_ranking(table: CostTable) -> tuple:
+    """Hashable weak order of the premise actions' adjusted unit costs
+    per (geotype, country), ties marked.
+
+    footprint_partition compares costs only within one (geotype,
+    country), through < and ==, so under two tables with the same
+    ranking it picks the same action for every slice. Per-km actions are
+    never compared and are left out."""
+    groups: dict[tuple[int, str], list[tuple[float, int]]] = {}
+    for (action, geotype, country), cost in table.adjusted.items():
+        if geotype is not None:
+            groups.setdefault((_GEOTYPE_ORDER[geotype], country), []).append(
+                (cost, _ACTION_ORDER[action]))
+    ranking = []
+    for key in sorted(groups):
+        ordered = sorted(groups[key])
+        ranking.append((key, tuple((action, i > 0 and cost == ordered[i - 1][0])
+                                   for i, (cost, action) in enumerate(ordered))))
+    return tuple(ranking)
+
+
 def gap_for_item(item: DemandItem, state: CoverageState, table: CostTable,
                  frame: GeoFrame, scenario: Scenario,
                  options: RunOptions | None = None,
@@ -329,16 +351,31 @@ PRICED_KEYS = {
 }
 
 
+def _repriced(cells: tuple[GapCell, ...], table: CostTable, frame: GeoFrame) -> tuple:
+    """Cells priced under a table with the same cost_ranking, at this
+    table's unit costs: the entry a fresh partition would pick."""
+    regions = frame.regions
+    return tuple(GapCell(c.target, c.region, c.geotype, c.unit, c.action, c.quantity,
+                         table.unit_cost(c.action, c.geotype, regions[c.region].country))
+                 for c in cells)
+
+
 def _priced_cells(prepared: PreparedInputs, scenario: Scenario, options: RunOptions,
                   stages: list) -> dict:
-    """Stage -> its sorted cells (a tuple), from prepared.priced.
+    """Stage -> its sorted cells (a tuple), from prepared.priced, else
+    repriced from prepared.shared.
 
     Demands are built, in one build_demands call, only for the stages
-    whose key misses; the composed T3 list is derived from T3's demands.
+    whose key misses both; the composed T3 list is derived from T3's
+    demands.
     """
     keys = {stage: (stage, *(getattr(scenario, f) for f in PRICED_KEYS[stage][0]),
                     *(getattr(options, f) for f in PRICED_KEYS[stage][1]))
             for stage in stages}
+    for key in keys.values():
+        if key not in prepared.priced and key in prepared.shared:
+            prepared.priced[key] = _repriced(prepared.shared[key], prepared.table,
+                                             prepared.frame)
     missing = [stage for stage in stages if keys[stage] not in prepared.priced]
     if missing:
         demands = tg.build_demands(prepared.frame, scenario,
@@ -348,7 +385,7 @@ def _priced_cells(prepared: PreparedInputs, scenario: Scenario, options: RunOpti
         args = (prepared.state, prepared.table, prepared.frame, scenario, options,
                 prepared.partitions)
         for stage in missing:
-            prepared.priced[keys[stage]] = tuple(_sorted_cells(
+            prepared.priced[keys[stage]] = prepared.shared[keys[stage]] = tuple(_sorted_cells(
                 [cell for item in demands[stage] for cell in gap_for_item(item, *args)]))
     return {stage: prepared.priced[keys[stage]] for stage in stages}
 
@@ -386,15 +423,14 @@ def _households_total(cells: list[GapCell], regions: dict[str, RegionSummary]) -
 
     T3 cells are excluded (they are the companies part); transport km
     are kept as is."""
+    ratios = {rid: s.households / s.premises_total if s.premises_total > 0 else 1.0
+              for rid, s in regions.items()}
     total = 0.0
     for c in cells:
         if c.target is Target.T3:
             continue
         if c.unit is Unit.PREMISES:
-            summary = regions[c.region]
-            ratio = (summary.households / summary.premises_total
-                     if summary.premises_total > 0 else 1.0)
-            total += c.investment_eur * ratio
+            total += c.investment_eur * ratios[c.region]
         else:
             total += c.investment_eur
     return total
@@ -405,15 +441,18 @@ class PreparedInputs:
     """Scenario-independent pipeline inputs, reusable across runs.
 
     frame, state and table are read-only once prepared: every report run
-    from these inputs shares them, and so do two memos, filled on first
+    from these inputs shares them, and so do three memos, filled on first
     use. partitions is keyed on the cell and route rule alone. priced
     holds each pricing stage's sorted cells, keyed on exactly the fields
     PRICED_KEYS names for it, so the reports run from these inputs share
     read-only GapCells (each report has its own cells list). Each
     distinct pair of already-covered transport fractions adds one
-    T2_TRANSPORT entry per t2_quality run. To change frame, state or
-    table, build a new PreparedInputs; it starts with empty memos
-    (dataclasses.replace included, as neither memo is an init field).
+    T2_TRANSPORT entry per t2_quality run. shared is filled along with
+    priced; prepare_inputs points it at the memo its dataset base keeps
+    for the table's cost_ranking, so inputs of one dataset and relax
+    value whose tables rank alike price each key once. To change frame,
+    state or table, build a new PreparedInputs; it starts with empty,
+    private memos (dataclasses.replace included: no memo is an init field).
     """
 
     frame: GeoFrame
@@ -426,20 +465,40 @@ class PreparedInputs:
     partitions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # (stage, *the values of its PRICED_KEYS fields) -> tuple of its sorted cells.
     priced: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # priced's keys -> sorted cells priced under a table with this table's cost_ranking.
+    shared: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+
+@dataclass
+class _Base:
+    """The table-free inputs of one (dataset, relax_intervals); cells:
+    cost_ranking -> the shared memo of the inputs whose table ranks so."""
+
+    frame: GeoFrame
+    state: CoverageState
+    regions: dict[str, RegionSummary]
+    cells: dict = field(default_factory=dict)
 
 
 def prepare_inputs(dataset, options: RunOptions | None = None) -> PreparedInputs:
-    """Build the frame, coverage state, cost table and region summaries
-    for a dataset."""
+    """Build the cost table for a dataset; take the frame, coverage state
+    and region summaries from dataset.bases, building them on the first
+    call with these relax_intervals."""
     from .costs import build_cost_table
 
     options = options or RunOptions()
-    frame = geo.build_frame(dataset)
-    state = cov.build_state(dataset, frame, options.relax_intervals)
-    table = build_cost_table(dataset.cost_references, frame.countries,
+    base = dataset.bases.get(options.relax_intervals)
+    if base is None:
+        frame = geo.build_frame(dataset)
+        state = cov.build_state(dataset, frame, options.relax_intervals)
+        base = dataset.bases[options.relax_intervals] = _Base(
+            frame, state, _region_summaries(dataset, frame, state))
+    table = build_cost_table(dataset.cost_references, base.frame.countries,
                              dataset.price_index, options.sharing_fraction)
-    return PreparedInputs(frame=frame, state=state, table=table,
-                          regions=_region_summaries(dataset, frame, state))
+    prepared = PreparedInputs(frame=base.frame, state=base.state, table=table,
+                              regions=base.regions)
+    prepared.shared = base.cells.setdefault(cost_ranking(table), {})
+    return prepared
 
 
 _DEFAULT_OPERATOR = OperatorInvestment()
@@ -534,8 +593,9 @@ def subtract_operator_investment(report: GapReport,
             left -= take
         return pool - left, used_by_region
 
-    fixed_cells = [c for c in report.cells if not c.action.wireless]
-    wireless_cells = [c for c in report.cells if c.action.wireless]
+    fixed_cells, wireless_cells = [], []
+    for c in report.cells:
+        (wireless_cells if c.action in _WIRELESS_ACTIONS else fixed_cells).append(c)
     fixed_used, fixed_by_region = consume(fixed_cells, operator.fixed_pool_eur)
     wireless_used, wl_by_region = consume(wireless_cells, operator.wireless_pool_eur)
 

@@ -170,6 +170,21 @@ class TestRun:
         assert payload["operator"]["residual_gap_eur"] > \
             base["operator"]["residual_gap_eur"]
 
+    def test_bad_sharing_fails_before_loading(self, fixture_dir, tmp_path):
+        # The dataset is broken, so an error about it would show the load ran.
+        broken = tmp_path / "data"
+        shutil.copytree(fixture_dir, broken)
+        with open(broken / "regions.csv", "a", encoding="utf-8") as fh:
+            fh.write("FR999\n")
+        for args in (["--sharing", "0.5"], ["--sharing=0.5"], ["--sharing", "nan"]):
+            proc = gigagap("run", *args, "--dataset", str(broken),
+                           "--out", str(tmp_path / "out"))
+            assert proc.returncode == 1, args
+            assert "Traceback" not in proc.stderr
+            assert re.search(r"sharing fraction \S+ outside \[0, 0\.12\]", proc.stderr), args
+            assert "ERROR regions.csv" not in proc.stderr
+            assert not (tmp_path / "out").exists()
+
     def test_relax_intervals_accepted(self, tmp_path):
         out = tmp_path / "relax"
         proc = gigagap("run", "--relax-intervals", "0.01", "--out", str(out))

@@ -1,10 +1,19 @@
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
 
-from gigagap.costs import CostAction, CostTable
+from gigagap.costs import (
+    CostAction,
+    CostReference,
+    CostTable,
+    Granularity,
+    adjust_labour,
+    apply_preparedness,
+    apply_sharing,
+)
 from gigagap.coverage import CapabilityTier, CoverageState, TechClass, effective_footprint
 from gigagap.errors import DataError
 from gigagap.gap import (
@@ -16,6 +25,7 @@ from gigagap.gap import (
     breakdown,
     compare_vintages,
     compose_egs,
+    cost_ranking,
     dedup_t3_over_t4,
     footprint_partition,
     gap_for_item,
@@ -25,7 +35,7 @@ from gigagap.gap import (
     subtract_operator_investment,
 )
 from gigagap.gap import RegionSummary, _sorted_cells
-from gigagap.geo import Geotype
+from gigagap.geo import Geotype, build_frame
 from gigagap.targets import (
     SCENARIO_PRESETS,
     DemandItem,
@@ -38,6 +48,7 @@ from gigagap.targets import (
 )
 
 import oracle
+from datagen import random_dataset
 
 BASELINE = SCENARIO_PRESETS["baseline"]
 URBAN = Geotype.URBAN
@@ -307,7 +318,7 @@ class TestRunScenario:
 
     def test_prepared_region_summaries_equal_fresh_ones(self, dataset, prepared,
                                                         baseline_report):
-        fresh = run_scenario(dataset, BASELINE)
+        fresh = run_scenario(dataclasses.replace(dataset), BASELINE)
         assert baseline_report.regions == fresh.regions
         bare = PreparedInputs(frame=prepared.frame, state=prepared.state,
                               table=prepared.table)
@@ -339,11 +350,12 @@ class TestPricingMemo:
 
     def test_shared_inputs_match_fresh_ones_in_any_order(self, dataset):
         assert len(self.SCENARIOS) == 48
-        fresh = {point: self.run(dataset, point) for point in self.POINTS}
+        fresh = {point: self.run(dataclasses.replace(dataset), point)
+                 for point in self.POINTS}
         shuffled = list(self.POINTS)
         random.Random(20180924).shuffle(shuffled)
         for order in (self.POINTS, self.POINTS[::-1], shuffled):
-            shared = prepare_inputs(dataset)
+            shared = prepare_inputs(dataclasses.replace(dataset))
             for point in order:
                 assert self.run(dataset, point, shared) == fresh[point], point
             assert shared.partitions
@@ -357,7 +369,8 @@ class TestPricingMemo:
                                  already_covered_rail_fraction=rail)
             for point in [(BASELINE, 0, None), (BASELINE, 1, frozenset({Target.T2_TRANSPORT}))]:
                 assert (self.run(dataset, point, shared, options)
-                        == self.run(dataset, point, options=options)), (road, rail, point)
+                        == self.run(dataclasses.replace(dataset), point, options=options)), (
+                            road, rail, point)
         # One T2_TRANSPORT entry per distinct pair of fractions.
         transport = [key for key in shared.priced if key[0] is Target.T2_TRANSPORT]
         assert len(transport) == len(set(fractions))
@@ -391,6 +404,108 @@ class TestPricingMemo:
         # `prepared` would price T4 as before.
         for copy in copies[:2]:
             assert run_scenario(dataset, BASELINE, prepared=copy).totals["t4"] == 0.0
+
+
+class TestSharingSweep:
+    """Inputs prepared from one dataset at several sharing values share its
+    base (frame, coverage state, region summaries and cells) and change no
+    result."""
+
+    SHARING = (0.0, 0.06, 0.12, 0.06, 0.0)
+    POINTS = [(SCENARIO_PRESETS[name], op, only) for name in ("baseline", "max", "min")
+              for op in range(2)
+              for only in (None, frozenset({Target.T1, Target.T3, Target.T4}))]
+
+    OPERATORS = TestPricingMemo.OPERATORS
+    run = TestPricingMemo.run
+
+    @pytest.mark.parametrize("seed", [None, 3, 17])
+    def test_every_point_matches_a_run_on_a_fresh_dataset(self, dataset, seed):
+        data = dataclasses.replace(dataset) if seed is None else random_dataset(seed)
+        fresh = {}
+        for i, sharing in enumerate(self.SHARING):
+            options = RunOptions(sharing_fraction=sharing)
+            shared = prepare_inputs(data, options)
+            for point in self.POINTS:
+                if (sharing, point) not in fresh:
+                    fresh[sharing, point] = self.run(dataclasses.replace(data), point,
+                                                     options=options)
+                assert self.run(data, point, shared, options) == fresh[sharing, point], (
+                    seed, sharing, point)
+            # Only the first input prices; the others reprice the base's cells.
+            assert bool(shared.partitions) == (i == 0)
+        assert len(data.bases[0.0].cells) == 1
+
+    def test_sharing_values_share_one_base_per_relax_value(self, dataset):
+        data = dataclasses.replace(dataset)
+        first, *others = [prepare_inputs(data, RunOptions(sharing_fraction=s))
+                          for s in (0.0, 0.06, 0.12)]
+        for other in others:
+            assert other.frame is first.frame
+            assert other.state is first.state
+            assert other.regions is first.regions
+            assert other.table is not first.table
+        relaxed = prepare_inputs(data, RunOptions(relax_intervals=0.01))
+        copied = prepare_inputs(dataclasses.replace(data))
+        for other in (relaxed, copied):
+            assert other.frame is not first.frame
+            assert other.state is not first.state
+            assert other.regions is not first.regions
+        assert copied.frame == first.frame == build_frame(data)
+        assert copied.state == first.state
+        assert set(data.bases) == {0.0, 0.01}
+        assert dataclasses.replace(data).bases == {}
+
+    def test_hand_built_inputs_never_touch_a_base(self, dataset):
+        data = dataclasses.replace(dataset)
+        prepared = prepare_inputs(data)
+        run_scenario(data, BASELINE, prepared=prepared)
+        base_cells = {ranking: dict(memo) for ranking, memo in data.bases[0.0].cells.items()}
+        for copy in (PreparedInputs(frame=prepared.frame, state=prepared.state,
+                                    table=prepared.table),
+                     dataclasses.replace(prepared)):
+            assert copy.shared == {}
+            run_scenario(data, SCENARIO_PRESETS["max"], prepared=copy)
+            assert copy.partitions
+            assert copy.shared.keys() == copy.priced.keys()
+        assert data.bases[0.0].cells == base_cells
+
+    def test_a_tie_made_by_scaling_prices_afresh(self, dataset):
+        # The FTTC upgrade costs one float step below the FTTH new build in
+        # every geotype: it wins at sharing 0. Scaled by 1 - 0.12 the two
+        # round to one cost in every country, and the new build wins the tie
+        # on action order, so cells repriced from sharing 0 would be wrong.
+        upgrade, new = CostAction.UPGRADE_FTTC_TO_FTTH, CostAction.FTTH_NEW
+
+        def adjusted(value, country, sharing):
+            cost = adjust_labour(value, country.labour_index)
+            return apply_sharing(apply_preparedness(cost, country.preparedness), sharing)
+
+        for step in range(10_000):
+            low = 400.0 + step * 0.37
+            high = math.nextafter(low, math.inf)
+            if all(adjusted(low, c, 0.0) < adjusted(high, c, 0.0)
+                   and adjusted(low, c, 0.12) == adjusted(high, c, 0.12)
+                   for c in dataset.countries.values()):
+                break
+        else:
+            pytest.fail("no cost pair found that ties after scaling")
+        references = [r for r in dataset.cost_references if r.action not in (upgrade, new)]
+        references += [CostReference(action, geotype, Granularity.EU, value, 2019)
+                       for action, value in ((upgrade, low), (new, high)) for geotype in Geotype]
+        data = dataclasses.replace(dataset, cost_references=references)
+        options = RunOptions(sharing_fraction=0.12)
+
+        plain = prepare_inputs(data)
+        before = [self.run(data, point, plain) for point in self.POINTS]
+        tied = prepare_inputs(data, options)
+        assert cost_ranking(tied.table) != cost_ranking(plain.table)
+        after = [self.run(data, point, tied, options) for point in self.POINTS]
+        for point, got in zip(self.POINTS, after):
+            assert got == self.run(dataclasses.replace(data), point, options=options), point
+        assert tied.partitions
+        assert any(c.action is upgrade for c in before[0][0])
+        assert not any(c.action is upgrade for c in after[0][0])
 
 
 def sweep_oracle(report, operator):

@@ -50,12 +50,10 @@ def _billions(value_eur: float) -> str:
 
 
 def _resolve_dataset(arg: str | None) -> Path:
-    if arg:
-        return Path(arg)
-    env = os.environ.get("GIGAGAP_DATA")
-    if env:
-        return Path(env)
-    return dataio.fixture_path()
+    path = Path(arg or os.environ.get("GIGAGAP_DATA") or dataio.fixture_path())
+    if not path.exists():
+        raise FileNotFoundError(f"dataset path does not exist: {path}")
+    return path
 
 
 def _resolve_scenario(arg: str) -> tuple[Scenario, str]:
@@ -99,11 +97,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_val = sub.add_parser("validate", help="check a dataset directory")
-    p_val.add_argument("--dataset", help="dataset directory (default: $GIGAGAP_DATA "
-                                         "or the bundled demo dataset)")
-
     p_run = sub.add_parser("run", help="compute the investment gap")
-    p_run.add_argument("--dataset", help="dataset directory (default: $GIGAGAP_DATA "
+    for p in (p_val, p_run):
+        p.add_argument("--dataset", help="dataset directory (default: $GIGAGAP_DATA "
                                          "or the bundled demo dataset)")
     p_run.add_argument("--scenario", default="baseline",
                        help="preset name (baseline, max, min) or a key=value config file")
@@ -135,9 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_validate(dataset_path: Path) -> int:
-    if not dataset_path.exists():
-        print(f"error: dataset path does not exist: {dataset_path}", file=sys.stderr)
-        return 2
     dataset, report = dataio.validate_dataset(dataset_path)
     for entry in report.entries:
         print(str(entry))
@@ -167,9 +160,6 @@ def _print_summary(report: gap.GapReport) -> None:
 
 def cmd_run(args) -> int:
     dataset_path = _resolve_dataset(args.dataset)
-    if not dataset_path.exists():
-        print(f"error: dataset path does not exist: {dataset_path}", file=sys.stderr)
-        return 2
     scenario, scenario_name = _resolve_scenario(args.scenario)
     only_targets = _resolve_targets(args.targets)
 
@@ -234,10 +224,9 @@ def cmd_compare(args) -> int:
     else:
         print("countries where the gap grew: none")
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        dataio._write_json(out_dir / "evolution.json", dataio.evolution_dict(evolution))
-        print(f"wrote: {out_dir / 'evolution.json'}")
+        path = dataio._write_json(Path(args.out) / "evolution.json",
+                                  dataio.evolution_dict(evolution))
+        print(f"wrote: {path}")
     return 0
 
 
@@ -278,10 +267,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare":
             return cmd_compare(args)
         parser.error(f"unknown command {args.command!r}")
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except PermissionError as err:
+    except (FileNotFoundError, PermissionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except DatasetValidationError as err:

@@ -13,7 +13,7 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -542,74 +542,78 @@ def default_price_index() -> dict[int, float]:
     return _load_bundled(_load_price_index)
 
 
+def _eu_rows(filename: str):
+    """Rows of one bundled EU-28 table, as dicts."""
+    with open(eu_reference_path() / filename, newline="", encoding="utf-8") as fh:
+        yield from csv.DictReader(fh)
+
+
 def eu_preparedness_table() -> list[dict]:
     """Bundled national preparedness components with their published sums."""
-    rows = []
-    file = eu_reference_path() / "preparedness.csv"
-    with open(file, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            rows.append({
-                "country": row["country"],
-                "factor": PreparednessFactor(
-                    country=row["country"],
-                    geographic=float(row["geographic"]),
-                    housing=float(row["housing"]),
-                    regulation=float(row["regulation"]),
-                ),
-                "published_combined": float(row["combined"]),
-            })
-    return rows
+    return [{
+        "country": row["country"],
+        "factor": PreparednessFactor(
+            country=row["country"],
+            geographic=float(row["geographic"]),
+            housing=float(row["housing"]),
+            regulation=float(row["regulation"]),
+        ),
+        "published_combined": float(row["combined"]),
+    } for row in _eu_rows("preparedness.csv")]
 
 
 def eu_transport_table() -> dict[str, tuple[float, float]]:
     """Bundled national road and rail lengths outside urban areas (km)."""
-    out = {}
-    file = eu_reference_path() / "transport.csv"
-    with open(file, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out[row["country"]] = (float(row["road_km"]), float(row["rail_km"]))
-    return out
+    return {row["country"]: (float(row["road_km"]), float(row["rail_km"]))
+            for row in _eu_rows("transport.csv")}
 
 
 def eu_tech_choices() -> dict[str, FixedTechChoice]:
     """Bundled dominant fixed-technology choice per country."""
-    out = {}
-    file = eu_reference_path() / "tech_choices.csv"
-    with open(file, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out[row["country"]] = FixedTechChoice(row["dominant_fixed_tech"])
-    return out
+    return {row["country"]: FixedTechChoice(row["dominant_fixed_tech"])
+            for row in _eu_rows("tech_choices.csv")}
 
 
 def eu_cable_fibre_bands() -> dict[str, tuple[str, str]]:
     """Bundled DOCSIS and fibre deployment bands per country."""
-    out = {}
-    file = eu_reference_path() / "cable_fibre.csv"
-    with open(file, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out[row["country"]] = (row["docsis_band"], row["fttp_band"])
-    return out
+    return {row["country"]: (row["docsis_band"], row["fttp_band"])
+            for row in _eu_rows("cable_fibre.csv")}
 
 
 # ---------------------------------------------------------------------------
 # report writing
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """csv.writer writes a float as its repr, so the text is lossless."""
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
+    """Write one CSV, creating its directory. csv.writer writes a float as
+    its repr, so the text is lossless."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+    return path
+
+
+def _write_json(path: Path, payload: dict) -> Path:
+    """Write one JSON file, keys sorted at every level, creating its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
 
 
 def summary_dict(report: "GapReport") -> dict:
+    """The content of gap_summary.json. The histogram, region and operator
+    blocks encode every field of HistogramReport, RegionSummary (less its
+    region id, the block's key) and OperatorResult, so a field added to
+    one of those dataclasses appears in the summary."""
     from .gap import BreakdownDimension, breakdown, histogram_gap_shares
     from .targets import scenario_to_fields
 
     scenario = {"name": report.scenario_name}
     if report.scenario is not None:
         scenario.update(scenario_to_fields(report.scenario))
-    hist = histogram_gap_shares(report)
     breakdowns = {}
     for dim in BreakdownDimension.ALL:
         try:
@@ -620,104 +624,55 @@ def summary_dict(report: "GapReport") -> dict:
         "format": "gigagap-summary-v1",
         "scenario": scenario,
         "vintage": report.vintage,
-        "totals_eur": dict(sorted(report.totals.items())),
-        "country_totals_eur": dict(sorted(report.country_totals.items())),
+        "totals_eur": report.totals,
+        "country_totals_eur": report.country_totals,
         "geotype_totals_eur": {g.value: v for g, v in report.geotype_totals.items()},
-        "regions": {
-            rid: {
-                "country": s.country,
-                "population": s.population,
-                "households": s.households,
-                "premises_total": s.premises_total,
-                "premises_to_cover": s.premises_to_cover,
-                "cohesion": s.cohesion,
-            } for rid, s in sorted(report.regions.items())
-        },
-        "histogram": {
-            "buckets": [
-                {"low": b.low, "high": b.high, "region_count": b.region_count,
-                 "population_share": b.population_share} for b in hist.buckets
-            ],
-            "le50_regions": hist.le50_regions,
-            "le50_population_share": hist.le50_population_share,
-            "gt50_regions": hist.gt50_regions,
-            "gt50_population_share": hist.gt50_population_share,
-        },
+        "regions": {rid: {k: v for k, v in vars(s).items() if k != "region"}
+                    for rid, s in report.regions.items()},
+        "histogram": asdict(histogram_gap_shares(report)),
         "breakdowns": breakdowns,
     }
     if report.operator is not None:
-        op = report.operator
-        out["operator"] = {
-            "fixed_pool_eur": op.fixed_pool_eur,
-            "wireless_pool_eur": op.wireless_pool_eur,
-            "fixed_used_eur": op.fixed_used_eur,
-            "wireless_used_eur": op.wireless_used_eur,
-            "residual_gap_eur": op.residual_gap_eur,
-            "residual_by_country_eur": dict(sorted(op.residual_by_country_eur.items())),
-            "clamped_eur": op.clamped_eur,
-        }
+        out["operator"] = asdict(report.operator)
     return out
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def write_reports(report: "GapReport", out_dir: str | Path,
                   evolution: "EvolutionReport | None" = None) -> list[Path]:
     """Write gap_cells.csv, gap_summary.json and histogram.csv (plus
-    evolution.json when trend data is supplied). Output is byte-stable
-    for identical inputs."""
-    from .gap import histogram_gap_shares
-
+    evolution.json when trend data is supplied), creating out_dir. Output
+    is byte-stable for identical inputs."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    cells_path = out_dir / "gap_cells.csv"
-    _write_csv(
-        cells_path,
-        ["target", "region", "geotype", "action", "unit", "quantity",
-         "unit_cost_eur", "investment_eur"],
-        [[c.target.value, c.region, c.geotype.value, c.action.value, c.unit.value,
-          c.quantity, c.unit_cost_eur, c.investment_eur] for c in report.cells],
-    )
-    written.append(cells_path)
-
-    summary_path = out_dir / "gap_summary.json"
-    _write_json(summary_path, summary_dict(report))
-    written.append(summary_path)
-
-    hist = histogram_gap_shares(report)
-    hist_path = out_dir / "histogram.csv"
-    _write_csv(
-        hist_path,
-        ["bucket_low", "bucket_high", "region_count", "population_share"],
-        [[b.low, b.high, b.region_count, b.population_share] for b in hist.buckets],
-    )
-    written.append(hist_path)
-
-    evo_path = out_dir / "evolution.json"
-    if evolution is not None:
-        _write_json(evo_path, evolution_dict(evolution))
-    else:
-        _write_json(evo_path, {
+    summary = summary_dict(report)
+    if evolution is None:
+        evo = {
             "format": "gigagap-evolution-v1",
             "scenario_name": report.scenario_name,
             "points": [{"vintage": report.vintage,
                         "total_eur": report.headline_total_eur}],
             "note": "single vintage; run compare with a second summary for a trend",
-        })
-    written.append(evo_path)
-    return written
+        }
+    else:
+        evo = evolution_dict(evolution)
+    return [
+        _write_csv(
+            out_dir / "gap_cells.csv",
+            ["target", "region", "geotype", "action", "unit", "quantity",
+             "unit_cost_eur", "investment_eur"],
+            [[c.target.value, c.region, c.geotype.value, c.action.value, c.unit.value,
+              c.quantity, c.unit_cost_eur, c.investment_eur] for c in report.cells]),
+        _write_json(out_dir / "gap_summary.json", summary),
+        _write_csv(
+            out_dir / "histogram.csv",
+            ["bucket_low", "bucket_high", "region_count", "population_share"],
+            [[b["low"], b["high"], b["region_count"], b["population_share"]]
+             for b in summary["histogram"]["buckets"]]),
+        _write_json(out_dir / "evolution.json", evo),
+    ]
 
 
 def write_cost_table(table, out_dir: str | Path) -> Path:
-    """Dump base and fully adjusted unit costs for audit."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Dump base and fully adjusted unit costs for audit, creating out_dir."""
     rows = []
     for (action, geotype, country) in sorted(
             table.adjusted,
@@ -729,36 +684,27 @@ def write_cost_table(table, out_dir: str | Path) -> Path:
             table.base[(action, geotype)],
             table.adjusted[(action, geotype, country)],
         ])
-    path = out_dir / "cost_table.csv"
-    _write_csv(path, ["action", "geotype", "country", "base_eur", "adjusted_eur"], rows)
-    return path
+    return _write_csv(Path(out_dir) / "cost_table.csv",
+                      ["action", "geotype", "country", "base_eur", "adjusted_eur"], rows)
 
 
 def write_coverage_points(state, out_dir: str | Path) -> Path:
-    """Dump the disaggregated coverage state for inspection."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Dump the disaggregated coverage state for inspection, creating out_dir."""
     rows = []
     for (region, geotype, tech) in sorted(state.entries,
                                           key=lambda k: (k[0], k[1].order, k[2].value)):
         rows.append([region, geotype.value, tech.value, state.entries[(region, geotype, tech)]])
-    path = out_dir / "coverage_point.csv"
-    _write_csv(path, ["region", "geotype", "technology", "coverage"], rows)
-    return path
+    return _write_csv(Path(out_dir) / "coverage_point.csv",
+                      ["region", "geotype", "technology", "coverage"], rows)
 
 
 def evolution_dict(evolution: "EvolutionReport") -> dict:
-    return {
-        "format": "gigagap-evolution-v1",
-        "scenario_name": evolution.scenario_name,
-        "points": [{"vintage": y, "total_eur": v} for y, v in evolution.points],
-        "target_deltas_eur": dict(sorted(evolution.target_deltas_eur.items())),
-        "total_delta_eur": evolution.total_delta_eur,
-        "slope_eur_per_year": evolution.slope_eur_per_year,
-        "extrapolated_2025_eur": evolution.extrapolated_2025_eur,
-        "zero_crossing_year": evolution.zero_crossing_year,
-        "countries_grown": dict(sorted(evolution.countries_grown.items())),
-    }
+    """The content of evolution.json: every EvolutionReport field, with
+    each point as a {vintage, total_eur} object."""
+    out = asdict(evolution)
+    out["format"] = "gigagap-evolution-v1"
+    out["points"] = [{"vintage": y, "total_eur": v} for y, v in evolution.points]
+    return out
 
 
 def report_from_summary(path: str | Path) -> "GapReport":

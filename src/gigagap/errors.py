@@ -18,8 +18,7 @@ class DatasetValidationError(DataError):
 
     def __init__(self, report):
         self.report = report
-        n = sum(1 for e in report.entries if e.severity == "error")
-        super().__init__(f"dataset validation failed with {n} error(s)")
+        super().__init__(f"dataset validation failed with {len(report.errors)} error(s)")
 
 
 class InfeasibleCoverageError(GigagapError):

@@ -9,13 +9,10 @@ written out.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .errors import DataError
-
-log = logging.getLogger(__name__)
 
 # Rural localities are split further by inhabitants per km2.
 SEMI_RURAL_MIN_DENSITY = 100.0
@@ -245,6 +242,7 @@ def decompose_region(region: Region, localities: list[Locality]) -> GeotypeProfi
 
     total_pop = sum(pop.values())
     total_area = sum(area.values())
+    # A mismatch within tolerance is warned about once, by dataio's cross-checks.
     for name, have, want, rel in locality_sum_mismatches(region, total_pop, total_area):
         if rel > LOCALITY_SUM_TOLERANCE:
             raise DataError(
@@ -252,10 +250,6 @@ def decompose_region(region: Region, localities: list[Locality]) -> GeotypeProfi
                 f"region total is {want:.6g} (off by {rel:.1%}, "
                 f"tolerance {LOCALITY_SUM_TOLERANCE:.0%})"
             )
-        log.warning(
-            "region %s: locality %s sums to %.6g vs region total %.6g (%.2f%% off)",
-            region.id, name, have, want, 100 * rel,
-        )
 
     if total_pop > 0:
         pop_share = {g: pop[g] / total_pop for g in Geotype}

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -181,7 +182,9 @@ class TestBuildFrame:
         first = prepare_inputs(dataset)
         assert {rid: reg.enterprise_counts
                 for rid, reg in dataset.regions.items()} == loaded
-        assert prepare_inputs(dataset).frame == first.frame
+        again = prepare_inputs(dataclasses.replace(dataset))
+        assert again.frame is not first.frame
+        assert again.frame == first.frame
 
     def test_fixture_frame_cell_enterprises_resum_to_country(self, dataset):
         frame = build_frame(dataset)

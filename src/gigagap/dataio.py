@@ -63,9 +63,12 @@ class ValidationEntry:
     row: int
     message: str
 
+    @property
+    def where(self) -> str:
+        return f"{self.file}:{self.row}" if self.row else self.file
+
     def __str__(self):
-        where = f"{self.file}:{self.row}" if self.row else self.file
-        return f"{self.severity.upper()} {where}: {self.message}"
+        return f"{self.severity.upper()} {self.where}: {self.message}"
 
 
 @dataclass
@@ -78,7 +81,6 @@ class ValidationReport:
 
     def warning(self, file: str, row: int, message: str) -> None:
         self.entries.append(ValidationEntry("warning", file, row, message))
-        log.warning("%s:%s: %s", file, row, message)
 
     @property
     def errors(self) -> list[ValidationEntry]:
@@ -254,8 +256,11 @@ def validate_dataset(path: str | Path) -> tuple[Dataset | None, ValidationReport
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    """Load a dataset directory, raising with the full report on errors."""
+    """Load a dataset directory: log its warnings, raise with the full report on errors."""
     dataset, report = validate_dataset(path)
+    for entry in report.entries:
+        if entry.severity == "warning":
+            log.warning("%s: %s", entry.where, entry.message)
     if dataset is None:
         raise DatasetValidationError(report)
     return dataset

@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 import statistics
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 
 from . import coverage as cov
@@ -361,9 +361,9 @@ def _repriced(cells: tuple[GapCell, ...], table: CostTable, frame: GeoFrame) -> 
 
 
 def _priced_cells(prepared: PreparedInputs, scenario: Scenario, options: RunOptions,
-                  stages: list) -> dict:
-    """Stage -> its sorted cells (a tuple), from prepared.priced, else
-    repriced from prepared.shared.
+                  stages: list) -> tuple[tuple, dict]:
+    """The stages' priced keys, and stage -> its sorted cells (a tuple),
+    from prepared.priced, else repriced from prepared.shared.
 
     Demands are built, in one build_demands call, only for the stages
     whose key misses both; the composed T3 list is derived from T3's
@@ -387,35 +387,47 @@ def _priced_cells(prepared: PreparedInputs, scenario: Scenario, options: RunOpti
         for stage in missing:
             prepared.priced[keys[stage]] = prepared.shared[keys[stage]] = tuple(_sorted_cells(
                 [cell for item in demands[stage] for cell in gap_for_item(item, *args)]))
-    return {stage: prepared.priced[keys[stage]] for stage in stages}
+    return tuple(keys.values()), {stage: prepared.priced[keys[stage]] for stage in stages}
 
 
-def _total(cells: Sequence[GapCell]) -> float:
+def _total(cells: Iterable[GapCell]) -> float:
     return sum(c.investment_eur for c in cells)
 
 
 def compose_egs(standalone: dict[Target, Sequence[GapCell]],
                 t3_composed: Sequence[GapCell],
-                capitals: frozenset[str]) -> tuple[list[GapCell], dict[str, float]]:
-    """Assemble the overall programme from per-target cells.
+                capitals: frozenset[str]) -> list[GapCell]:
+    """Assemble the overall programme from per-target cells: a new list,
+    their concatenation in Target order.
 
     T1 already covers the urban side of T2 inside capital regions, so
     those T2 cells drop out. The T3 cells passed in must already be
     deduplicated against T4. Every sequence passed in must be sorted as
-    _sorted_cells sorts: the composed list is a new list, their
-    concatenation in Target order, and each total sums its sequence in
-    the order given.
+    _sorted_cells sorts.
     """
-    t2_urban_kept = [c for c in standalone[Target.T2_URBAN] if c.region not in capitals]
-    composed = [*standalone[Target.T1], *t2_urban_kept, *standalone[Target.T2_TRANSPORT],
-                *t3_composed, *standalone[Target.T4]]
+    return [*standalone[Target.T1],
+            *(c for c in standalone[Target.T2_URBAN] if c.region not in capitals),
+            *standalone[Target.T2_TRANSPORT], *t3_composed, *standalone[Target.T4]]
 
-    totals = {_TOTAL_KEYS[t]: _total(standalone[t]) for t in Target}
-    totals["t2_after_t1"] = _total(t2_urban_kept) + totals["t2_transport"]
-    totals["t3_composed"] = _total(t3_composed)
-    totals["egs_premises"] = totals["t1"] + totals["t2_after_t1"] + totals["t4"]
-    totals["egs_premises_companies"] = totals["egs_premises"] + totals["t3_composed"]
-    return composed, totals
+
+def _derive(standalone: dict, t3_composed: Sequence[GapCell] | None, cells: list[GapCell],
+            frame: GeoFrame, regions: dict[str, RegionSummary]) -> tuple:
+    """A run's totals, country and geotype totals and netting pools, each
+    total summed in cell order; t3_composed is None if not composed."""
+    totals = {_TOTAL_KEYS[t]: _total(target_cells) for t, target_cells in standalone.items()}
+    if t3_composed is not None:
+        totals["t2_after_t1"] = (_total(c for c in cells if c.target is Target.T2_URBAN)
+                                 + totals["t2_transport"])
+        totals["t3_composed"] = _total(t3_composed)
+        totals["egs_premises"] = totals["t1"] + totals["t2_after_t1"] + totals["t4"]
+        totals["egs_premises_companies"] = totals["egs_premises"] + totals["t3_composed"]
+        totals["egs_households"] = _households_total(cells, regions)
+    country_totals = {code: 0.0 for code in sorted(frame.countries)}
+    geotype_totals = {g: 0.0 for g in Geotype}
+    for c in cells:
+        country_totals[frame.regions[c.region].country] += c.investment_eur
+        geotype_totals[c.geotype] += c.investment_eur
+    return totals, country_totals, geotype_totals, _netting_pools(cells)
 
 
 def _households_total(cells: list[GapCell], regions: dict[str, RegionSummary]) -> float:
@@ -441,7 +453,7 @@ class PreparedInputs:
     """Scenario-independent pipeline inputs, reusable across runs.
 
     frame, state and table are read-only once prepared: every report run
-    from these inputs shares them, and so do three memos, filled on first
+    from these inputs shares them, and so do four memos, filled on first
     use. partitions is keyed on the cell and route rule alone. priced
     holds each pricing stage's sorted cells, keyed on exactly the fields
     PRICED_KEYS names for it, so the reports run from these inputs share
@@ -450,9 +462,11 @@ class PreparedInputs:
     T2_TRANSPORT entry per t2_quality run. shared is filled along with
     priced; prepare_inputs points it at the memo its dataset base keeps
     for the table's cost_ranking, so inputs of one dataset and relax
-    value whose tables rank alike price each key once. To change frame,
-    state or table, build a new PreparedInputs; it starts with empty,
-    private memos (dataclasses.replace included: no memo is an init field).
+    value whose tables rank alike price each key once. derived's netting
+    order compares costs across countries, which no cost_ranking fixes,
+    so it is never shared. To change frame, state or table, build a new
+    PreparedInputs; it starts with empty, private memos
+    (dataclasses.replace included: no memo is an init field).
     """
 
     frame: GeoFrame
@@ -467,6 +481,8 @@ class PreparedInputs:
     priced: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # priced's keys -> sorted cells priced under a table with this table's cost_ranking.
     shared: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # A run's tuple of priced keys -> _derive's totals, country and geotype totals, pools.
+    derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass
@@ -511,7 +527,8 @@ def run_scenario(dataset, scenario: Scenario, options: RunOptions | None = None,
                  prepared: PreparedInputs | None = None) -> GapReport:
     """Full pipeline for one scenario: frame, coverage, costs, demands,
     cells, composition and operator subtraction. Demands and cells come
-    from prepared.priced where an earlier run filled the same key.
+    from prepared.priced, totals and netting pools from prepared.derived,
+    where an earlier run filled the same keys.
 
     Passing operator=None skips the subtraction entirely and leaves
     report.operator unset."""
@@ -522,34 +539,29 @@ def run_scenario(dataset, scenario: Scenario, options: RunOptions | None = None,
     stages = [t for t in Target if only_targets is None or t in only_targets]
     if only_targets is None:
         stages.append(T3_COMPOSED)
-    standalone = _priced_cells(prepared, scenario, options, stages)
+    keys, standalone = _priced_cells(prepared, scenario, options, stages)
 
     regions = prepared.regions or _region_summaries(dataset, frame, prepared.state)
 
-    if only_targets is None:
-        t3_composed = standalone.pop(T3_COMPOSED)
-        capitals = frozenset(c.capital_region for c in frame.countries.values())
-        cells, totals = compose_egs(standalone, t3_composed, capitals)
-        totals["egs_households"] = _households_total(cells, regions)
-    else:
+    t3_composed = standalone.pop(T3_COMPOSED, None)
+    if t3_composed is None:
         # standalone is in Target order, so this concatenation is sorted
         cells = [c for target_cells in standalone.values() for c in target_cells]
-        totals = {_TOTAL_KEYS[t]: _total(target_cells) for t, target_cells in standalone.items()}
-
-    country_totals = {code: 0.0 for code in sorted(frame.countries)}
-    geotype_totals = {g: 0.0 for g in Geotype}
-    for c in cells:
-        country_totals[frame.regions[c.region].country] += c.investment_eur
-        geotype_totals[c.geotype] += c.investment_eur
+    else:
+        capitals = frozenset(c.capital_region for c in frame.countries.values())
+        cells = compose_egs(standalone, t3_composed, capitals)
+    if keys not in prepared.derived:
+        prepared.derived[keys] = _derive(standalone, t3_composed, cells, frame, regions)
+    totals, country_totals, geotype_totals, pools = prepared.derived[keys]
 
     report = GapReport(
         scenario=scenario, scenario_name=scenario_name, vintage=dataset.vintage,
-        cells=cells, totals=totals, country_totals=country_totals,
-        geotype_totals=geotype_totals, regions=regions,
+        cells=cells, totals=dict(totals), country_totals=dict(country_totals),
+        geotype_totals=dict(geotype_totals), regions=regions,
     )
     if operator is None:
         return report
-    return subtract_operator_investment(report, operator)
+    return subtract_operator_investment(report, operator, pools)
 
 
 def _region_summaries(dataset, frame: GeoFrame, state: CoverageState) -> dict[str, RegionSummary]:
@@ -572,30 +584,37 @@ def _region_summaries(dataset, frame: GeoFrame, state: CoverageState) -> dict[st
     return out
 
 
-def subtract_operator_investment(report: GapReport,
-                                 operator: OperatorInvestment) -> GapReport:
+def _netting_pools(cells: Sequence[GapCell]) -> tuple:
+    """The fixed and the wireless cells, each a tuple in the order netting
+    consumes them (cheapest unit first), and the total of all cells."""
+    order = sorted(cells, key=lambda c: (
+        c.unit_cost_eur, c.region, _GEOTYPE_ORDER[c.geotype],
+        _TARGET_ORDER[c.target], _ACTION_ORDER[c.action]))
+    return (tuple(c for c in order if c.action not in _WIRELESS_ACTIONS),
+            tuple(c for c in order if c.action in _WIRELESS_ACTIONS), _total(cells))
+
+
+def subtract_operator_investment(report: GapReport, operator: OperatorInvestment,
+                                 pools: tuple | None = None) -> GapReport:
     """Consume expected operator investment from the cheapest units up.
 
     Fixed-network capex can only pay for fixed cells, wireless capex
     for 5G cells. The marginal cell is consumed partially and exactly.
+    pools: _netting_pools(report.cells), which run_scenario keeps in
+    PreparedInputs.derived; None sorts report.cells here.
     """
-    def consume(cells: list[GapCell], pool: float) -> tuple[float, dict[str, float]]:
-        order = sorted(cells, key=lambda c: (
-            c.unit_cost_eur, c.region, _GEOTYPE_ORDER[c.geotype],
-            _TARGET_ORDER[c.target], _ACTION_ORDER[c.action]))
+    def consume(order: tuple[GapCell, ...], pool: float) -> tuple[float, dict[str, float]]:
         left = pool
         used_by_region: dict[str, float] = {}
         for cell in order:
             if left <= 0:
                 break
-            take = min(cell.investment_eur, left)
+            take = cell.investment_eur if cell.investment_eur < left else left
             used_by_region[cell.region] = used_by_region.get(cell.region, 0.0) + take
             left -= take
         return pool - left, used_by_region
 
-    fixed_cells, wireless_cells = [], []
-    for c in report.cells:
-        (wireless_cells if c.action in _WIRELESS_ACTIONS else fixed_cells).append(c)
+    fixed_cells, wireless_cells, total = _netting_pools(report.cells) if pools is None else pools
     fixed_used, fixed_by_region = consume(fixed_cells, operator.fixed_pool_eur)
     wireless_used, wl_by_region = consume(wireless_cells, operator.wireless_pool_eur)
 
@@ -616,7 +635,6 @@ def subtract_operator_investment(report: GapReport,
     if clamped > 0.01:  # float noise from full consumption stays quiet
         log.warning("operator subtraction clamped %.3g EUR of negative residuals", clamped)
 
-    total = sum(c.investment_eur for c in report.cells)
     result = OperatorResult(
         fixed_pool_eur=operator.fixed_pool_eur,
         wireless_pool_eur=operator.wireless_pool_eur,

@@ -66,6 +66,23 @@ class TestValidate:
         assert "Traceback" not in proc.stderr
         assert re.search(r"regions\.csv:\d+: expected 5 fields, got 1", proc.stdout)
 
+    def test_locality_sum_mismatch_within_tolerance_prints_once(self, fixture_dir, tmp_path):
+        # The FR101 copy of TestRun's warns-once test: 0.55 % off, within tolerance.
+        data = tmp_path / "data"
+        shutil.copytree(fixture_dir, data)
+        path = data / "localities.csv"
+        text = path.read_text(encoding="utf-8")
+        assert "FR101_L1,FR101,1200000," in text
+        path.write_text(text.replace("FR101_L1,FR101,1200000,", "FR101_L1,FR101,1212100,"),
+                        encoding="utf-8")
+        proc = gigagap("validate", "--dataset", str(data))
+        assert proc.returncode == 0, proc.stderr
+        lines = [line for line in (proc.stdout + proc.stderr).splitlines() if "FR101" in line]
+        assert len(lines) == 1, (proc.stdout, proc.stderr)
+        assert lines[0].startswith("WARNING localities.csv: region FR101")
+        assert "off by 0.55%" in lines[0]
+        assert lines[0] in proc.stdout.splitlines()
+
 
 class TestRun:
     def test_invalid_dataset_lists_errors_and_fails(self, fixture_dir, tmp_path):

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gigagap.costs import (
     CostAction,
@@ -382,6 +384,8 @@ class TestPricingMemo:
                    for only in (None, {Target.T1}, {Target.T3})
                    for _ in range(2)]
         assert len({id(r.cells) for r in reports}) == len(reports)
+        for totals in ("totals", "country_totals", "geotype_totals"):
+            assert len({id(getattr(r, totals)) for r in reports}) == len(reports), totals
         # The cells themselves are shared, read-only, between reports.
         assert reports[0].cells[0] is reports[2].cells[0]
 
@@ -389,12 +393,13 @@ class TestPricingMemo:
         run_scenario(dataset, BASELINE, prepared=prepared)
         assert prepared.partitions
         assert prepared.priced
+        assert prepared.derived
         entries = {k: 1.0 for k in prepared.state.entries}
         raised = CoverageState(vintage=prepared.state.vintage, entries=entries)
         copies = [PreparedInputs(frame=prepared.frame, state=raised, table=prepared.table),
                   dataclasses.replace(prepared, state=raised),
                   prepare_inputs(dataset)]
-        for memo in ("partitions", "priced"):
+        for memo in ("partitions", "priced", "derived"):
             for copy in copies:
                 assert getattr(copy, memo) == {}
                 assert getattr(copy, memo) is not getattr(prepared, memo)
@@ -506,6 +511,45 @@ class TestSharingSweep:
         assert tied.partitions
         assert any(c.action is upgrade for c in before[0][0])
         assert not any(c.action is upgrade for c in after[0][0])
+
+
+class TestNettingPools:
+    """run_scenario nets through the pools that PreparedInputs.derived
+    keeps; they give what sorting the report's cells afresh gives."""
+
+    SHARING = (0.0, 0.06, 0.12)
+    # A pool as a share of its cells' total: none, part of it (the greedy
+    # stops inside the list), or all of it with room to spare.
+    SHARE = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=0.99),
+                      st.just(2.0))
+
+    @pytest.fixture(scope="class")
+    def inputs(self, dataset):
+        data = dataclasses.replace(dataset)
+        options = [RunOptions(sharing_fraction=s) for s in self.SHARING]
+        return data, [(o, prepare_inputs(data, o)) for o in options]
+
+    @given(fixed=SHARE, wireless=SHARE)
+    @settings(deadline=None)
+    def test_memoised_pools_net_as_a_fresh_sort(self, inputs, fixed, wireless):
+        data, runs = inputs
+        for options, prepared in runs:
+            for scenario in SCENARIO_PRESETS.values():
+                cells = run_scenario(data, scenario, options, operator=None,
+                                     prepared=prepared).cells
+                op = OperatorInvestment(
+                    fixed_per_year_eur=fixed * sum(c.investment_eur for c in cells
+                                                   if not c.action.wireless),
+                    wireless_per_year_eur=wireless * sum(c.investment_eur for c in cells
+                                                         if c.action.wireless),
+                    horizon_years=1, fixed_effective_fraction=1.0)
+                report = run_scenario(data, scenario, options, operator=op, prepared=prepared)
+                got = report.operator
+                assert (got.fixed_used_eur, got.wireless_used_eur,
+                        got.residual_by_country_eur) == sweep_oracle(report, op)
+                fresh = subtract_operator_investment(dataclasses.replace(report, operator=None),
+                                                     op)
+                assert fresh.operator == got
 
 
 def sweep_oracle(report, operator):

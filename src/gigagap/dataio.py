@@ -10,6 +10,7 @@ fixture used by the tests and as a demo.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import math
@@ -22,8 +23,9 @@ from typing import TYPE_CHECKING
 from .costs import CostAction, CostReference, Granularity, PreparednessFactor
 from .coverage import (PUBLISHED_BANDS, CoverageInterval, NationalFigure, TechClass)
 from .errors import DataError, DatasetValidationError
-from .geo import (LOCALITY_SUM_TOLERANCE, SIZE_CLASSES, Country, Degurba,
+from .geo import (_GEOTYPE_ORDER, LOCALITY_SUM_TOLERANCE, SIZE_CLASSES, Country, Degurba,
                   FixedTechChoice, Geotype, Locality, Region, locality_sum_mismatches)
+from .targets import Target, Unit
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gap import EvolutionReport, GapReport
@@ -116,11 +118,15 @@ class Dataset:
     bases: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
-def _read_rows(path: Path, filename: str, required: tuple[str, ...],
-               optional: tuple[str, ...], report: ValidationReport):
-    """Read one CSV, checking columns. Yields (row_number, dict) pairs,
-    skipping blank lines. A row that ends before the last required column
-    is reported instead; trailing columns it lacks are absent from its dict."""
+def _parsed_rows(path: Path, report: ValidationReport, filename: str,
+                 required: tuple[str, ...], parse, key=None, duplicate: str = "",
+                 optional: tuple[str, ...] = ()):
+    """Read and parse one CSV. Yields (row_number, value) pairs, skipping
+    blank lines. parse takes a row's required fields, then its optional
+    ones, positionally; an optional column the file or row lacks reads as "".
+    Reported instead: a row that ends before the last required column, one
+    whose parse raises DataError, and one whose key(value) repeats an
+    earlier row's, as "duplicate " + duplicate.format(value)."""
     file = path / filename
     if not file.is_file():
         report.error(filename, 0, "file not found")
@@ -132,41 +138,44 @@ def _read_rows(path: Path, filename: str, required: tuple[str, ...],
         if missing:
             report.error(filename, 1, f"missing required columns: {', '.join(missing)}")
             return
+        index = {col: i for i, col in enumerate(header)}
+        if len(index) < len(header):
+            for col in index:
+                if header.count(col) > 1:
+                    report.error(filename, 1, f"column {col!r} appears more than once")
+            return
         known = set(required) | set(optional)
         for col in header:
             if col not in known:
                 report.warning(filename, 1, f"ignoring unknown column {col!r}")
-        need = 1 + max(header.index(c) for c in required)
+        need = 1 + max(index[c] for c in required)
+        # An optional column the file lacks is read past its last column: then
+        # every row, as any row not as wide as the header, is cut and padded.
+        width = len(header)
+        lacking = not index.keys() >= set(optional)
+        fields = itemgetter(*(index.get(c, width) for c in required + optional))
+        blanks = [""] * (width + 1)
+        seen = set()
         for row in reader:
-            if not row:
+            if len(row) != width or lacking:
+                if not row:
+                    continue
+                if len(row) < need:
+                    report.error(filename, reader.line_num,
+                                 f"expected {need} fields, got {len(row)}")
+                    continue
+                row = row[:width] + blanks
+            try:
+                value = parse(*fields(row))
+            except DataError as err:
+                report.error(filename, reader.line_num, str(err))
                 continue
-            if len(row) < need:
-                report.error(filename, reader.line_num,
-                             f"expected {need} fields, got {len(row)}")
-                continue
-            yield reader.line_num, dict(zip(header, row))
-
-
-def _parsed_rows(path: Path, report: ValidationReport, filename: str,
-                 required: tuple[str, ...], parse, key=None, duplicate: str = "",
-                 optional: tuple[str, ...] = ()):
-    """Parse each row of one CSV. Yields (row_number, value) pairs. A row
-    whose parse raises DataError is reported instead, and so is a row whose
-    key(value) repeats an earlier row's, as "duplicate " + duplicate.format(value)."""
-    seen = set()
-    for lineno, row in _read_rows(path, filename, required, optional, report):
-        try:
-            value = parse(row)
-        except DataError as err:
-            report.error(filename, lineno, str(err))
-            continue
-        if key is not None:
-            k = key(value)
-            if k in seen:
-                report.error(filename, lineno, "duplicate " + duplicate.format(value))
-                continue
-            seen.add(k)
-        yield lineno, value
+            if key is not None:
+                if (k := key(value)) in seen:
+                    report.error(filename, reader.line_num, "duplicate " + duplicate.format(value))
+                    continue
+                seen.add(k)
+            yield reader.line_num, value
 
 
 def _parse_float(raw: str, what: str) -> float:
@@ -186,22 +195,37 @@ def _parse_int(raw: str, what: str) -> int:
         raise DataError(f"{what}: not an integer: {raw!r}") from None
 
 
+@functools.cache
+def _members(enum_cls) -> dict:
+    """{value: member} of one enum class. Loading looks values up here, and
+    writing reads them from _values: both far cheaper than Enum's own."""
+    return {member.value: member for member in enum_cls}
+
+
+@functools.cache
+def _values(enum_cls) -> dict:
+    return {member: value for value, member in _members(enum_cls).items()}
+
+
 def _parse_enum(raw: str, enum_cls, what: str):
-    try:
-        return enum_cls(raw)
-    except ValueError:
-        valid = ", ".join(e.value for e in enum_cls)
-        raise DataError(f"{what}: {raw!r} is not one of {valid}") from None
+    member = _members(enum_cls).get(raw)
+    if member is None:
+        valid = ", ".join(_members(enum_cls))
+        raise DataError(f"{what}: {raw!r} is not one of {valid}")
+    return member
 
 
-_DEGURBA_ALIASES = {"1": Degurba.URBAN, "2": Degurba.SUBURBAN, "3": Degurba.RURAL}
+# Raw degurba text -> class: the values and the aliases 1/2/3.
+_DEGURBA = {"1": Degurba.URBAN, "2": Degurba.SUBURBAN, "3": Degurba.RURAL,
+            **_members(Degurba)}
 
 
 def _parse_degurba(raw: str) -> Degurba:
-    key = raw.strip().lower()
-    if key in _DEGURBA_ALIASES:
-        return _DEGURBA_ALIASES[key]
-    return _parse_enum(key, Degurba, "degurba")
+    member = _DEGURBA.get(raw)
+    if member is None:
+        key = raw.strip().lower()
+        member = _DEGURBA.get(key) or _parse_enum(key, Degurba, "degurba")
+    return member
 
 
 def _parse_bool(raw: str, what: str) -> bool:
@@ -266,15 +290,13 @@ def load_dataset(path: str | Path) -> Dataset:
     return dataset
 
 
+# Each loader's parse passes its record's fields positionally, in the order
+# of the file's columns: keyword arguments cost more per row.
+
 def _load_regions(path, report) -> dict[str, Region]:
-    def parse(row):
-        return Region(
-            id=row["id"].strip(),
-            country=row["country"].strip(),
-            population=_parse_float(row["population"], "population"),
-            area_km2=_parse_float(row["area_km2"], "area_km2"),
-            households=_parse_float(row["households"], "households"),
-        )
+    def parse(id, country, population, area_km2, households):
+        return Region(id.strip(), country.strip(), _parse_float(population, "population"),
+                      _parse_float(area_km2, "area_km2"), _parse_float(households, "households"))
 
     out: dict[str, Region] = {}
     cols = ("id", "country", "population", "area_km2", "households")
@@ -288,14 +310,9 @@ def _load_regions(path, report) -> dict[str, Region]:
 
 
 def _load_localities(path, report) -> list[Locality]:
-    def parse(row):
-        return Locality(
-            id=row["id"].strip(),
-            region=row["region"].strip(),
-            population=_parse_float(row["population"], "population"),
-            area_km2=_parse_float(row["area_km2"], "area_km2"),
-            degurba=_parse_degurba(row["degurba"]),
-        )
+    def parse(id, region, population, area_km2, degurba):
+        return Locality(id.strip(), region.strip(), _parse_float(population, "population"),
+                        _parse_float(area_km2, "area_km2"), _parse_degurba(degurba))
 
     cols = ("id", "region", "population", "area_km2", "degurba")
     return [loc for _, loc in _parsed_rows(path, report, "localities.csv", cols, parse,
@@ -307,22 +324,17 @@ _PREP_COLUMNS = (("prep_geo", "geographic"), ("prep_housing", "housing"),
 
 
 def _load_countries(path, report) -> dict[str, Country]:
-    def parse(row):
-        code = row["code"].strip()
-        prep = PreparednessFactor(country=code, **{
-            attr: _parse_float(row[col], col) for col, attr in _PREP_COLUMNS})
+    def parse(code, labour_index, prep_geo, prep_housing, prep_regulation,
+              dominant_fixed_tech, road_km, rail_km, capital_region, docsis_band, fttp_band):
+        code = code.strip()
+        prep = PreparednessFactor(code, _parse_float(prep_geo, "prep_geo"),
+                                  _parse_float(prep_housing, "prep_housing"),
+                                  _parse_float(prep_regulation, "prep_regulation"))
         return Country(
-            code=code,
-            labour_index=_parse_float(row["labour_index"], "labour_index"),
-            preparedness=prep,
-            dominant_fixed_tech=_parse_enum(row["dominant_fixed_tech"].strip(),
-                                            FixedTechChoice, "dominant_fixed_tech"),
-            road_km=_parse_float(row["road_km"], "road_km"),
-            rail_km=_parse_float(row["rail_km"], "rail_km"),
-            capital_region=row["capital_region"].strip(),
-            docsis_band=row.get("docsis_band", "").strip() or None,
-            fttp_band=row.get("fttp_band", "").strip() or None,
-        )
+            code, _parse_float(labour_index, "labour_index"), prep,
+            _parse_enum(dominant_fixed_tech.strip(), FixedTechChoice, "dominant_fixed_tech"),
+            _parse_float(road_km, "road_km"), _parse_float(rail_km, "rail_km"),
+            capital_region.strip(), docsis_band.strip() or None, fttp_band.strip() or None)
 
     out: dict[str, Country] = {}
     cols = ("code", "labour_index", "prep_geo", "prep_housing", "prep_regulation",
@@ -340,15 +352,15 @@ def _load_countries(path, report) -> dict[str, Country]:
 
 
 def _load_enterprises(path, report) -> dict[tuple[str, str], float]:
-    def parse(row):
-        size_class = row["size_class"].strip()
+    def parse(country, size_class, count):
+        size_class = size_class.strip()
         if size_class not in SIZE_CLASSES:
             raise DataError(f"unknown size class {size_class!r}; expected one of "
                             + ", ".join(SIZE_CLASSES))
-        count = _parse_float(row["count"], "count")
+        count = _parse_float(count, "count")
         if count < 0:
             raise DataError(f"negative enterprise count {count}")
-        return (row["country"].strip(), size_class), count
+        return (country.strip(), size_class), count
 
     rows = _parsed_rows(path, report, "enterprises.csv", ("country", "size_class", "count"),
                         parse, itemgetter(0), "enterprise row for {0[0][0]}/{0[0][1]}")
@@ -356,14 +368,11 @@ def _load_enterprises(path, report) -> dict[tuple[str, str], float]:
 
 
 def _load_intervals(path, report) -> list[CoverageInterval]:
-    def parse(row):
+    def parse(region, technology, band_low, band_high, vintage):
         return CoverageInterval(
-            region=row["region"].strip(),
-            technology=_parse_enum(row["technology"].strip(), TechClass, "technology"),
-            low=_parse_float(row["band_low"], "band_low"),
-            high=_parse_float(row["band_high"], "band_high"),
-            vintage=_parse_int(row["vintage"], "vintage"),
-        )
+            region.strip(), _parse_enum(technology.strip(), TechClass, "technology"),
+            _parse_float(band_low, "band_low"), _parse_float(band_high, "band_high"),
+            _parse_int(vintage, "vintage"))
 
     out = []
     cols = ("region", "technology", "band_low", "band_high", "vintage")
@@ -379,13 +388,10 @@ def _load_intervals(path, report) -> list[CoverageInterval]:
 
 
 def _load_national(path, report) -> list[NationalFigure]:
-    def parse(row):
+    def parse(country, technology, coverage, vintage):
         return NationalFigure(
-            country=row["country"].strip(),
-            technology=_parse_enum(row["technology"].strip(), TechClass, "technology"),
-            coverage=_parse_float(row["coverage"], "coverage"),
-            vintage=_parse_int(row["vintage"], "vintage"),
-        )
+            country.strip(), _parse_enum(technology.strip(), TechClass, "technology"),
+            _parse_float(coverage, "coverage"), _parse_int(vintage, "vintage"))
 
     cols = ("country", "technology", "coverage", "vintage")
     return [nf for _, nf in _parsed_rows(
@@ -395,25 +401,23 @@ def _load_national(path, report) -> list[NationalFigure]:
 
 
 def _load_cost_references(path, report) -> list[CostReference]:
-    def parse(row):
-        raw_geotype = row["geotype"].strip()
+    def parse(action, geotype, granularity, value_eur, price_year, source_id):
+        geotype = geotype.strip()
         return CostReference(
-            action=_parse_enum(row["action"].strip(), CostAction, "action"),
-            geotype=_parse_enum(raw_geotype, Geotype, "geotype") if raw_geotype else None,
-            granularity=_parse_enum(row["granularity"].strip(), Granularity, "granularity"),
-            value_eur=_parse_float(row["value_eur"], "value_eur"),
-            price_year=_parse_int(row["price_year"], "price_year"),
-            source=row["source_id"].strip(),
-        )
+            _parse_enum(action.strip(), CostAction, "action"),
+            _parse_enum(geotype, Geotype, "geotype") if geotype else None,
+            _parse_enum(granularity.strip(), Granularity, "granularity"),
+            _parse_float(value_eur, "value_eur"), _parse_int(price_year, "price_year"),
+            source_id.strip())
 
     cols = ("action", "geotype", "granularity", "value_eur", "price_year", "source_id")
     return [ref for _, ref in _parsed_rows(path, report, "cost_references.csv", cols, parse)]
 
 
 def _load_price_index(path, report) -> dict[int, float]:
-    def parse(row):
-        year = _parse_int(row["year"], "year")
-        multiplier = _parse_float(row["multiplier"], "multiplier")
+    def parse(year, multiplier):
+        year = _parse_int(year, "year")
+        multiplier = _parse_float(multiplier, "multiplier")
         if multiplier <= 0:
             raise DataError(f"multiplier must be positive: {multiplier}")
         return year, multiplier
@@ -424,8 +428,8 @@ def _load_price_index(path, report) -> dict[int, float]:
 
 
 def _load_cohesion(path, report) -> dict[str, bool]:
-    def parse(row):
-        return row["region"].strip(), _parse_bool(row["is_cohesion"], "is_cohesion")
+    def parse(region, is_cohesion):
+        return region.strip(), _parse_bool(is_cohesion, "is_cohesion")
 
     rows = _parsed_rows(path, report, "cohesion.csv", ("region", "is_cohesion"), parse,
                         itemgetter(0), "cohesion row for {0[0]}")
@@ -659,12 +663,13 @@ def write_reports(report: "GapReport", out_dir: str | Path,
         }
     else:
         evo = evolution_dict(evolution)
+    target, geotype, action, unit = map(_values, (Target, Geotype, CostAction, Unit))
     return [
         _write_csv(
             out_dir / "gap_cells.csv",
             ["target", "region", "geotype", "action", "unit", "quantity",
              "unit_cost_eur", "investment_eur"],
-            [[c.target.value, c.region, c.geotype.value, c.action.value, c.unit.value,
+            [[target[c.target], c.region, geotype[c.geotype], action[c.action], unit[c.unit],
               c.quantity, c.unit_cost_eur, c.investment_eur] for c in report.cells]),
         _write_json(out_dir / "gap_summary.json", summary),
         _write_csv(
@@ -678,27 +683,22 @@ def write_reports(report: "GapReport", out_dir: str | Path,
 
 def write_cost_table(table, out_dir: str | Path) -> Path:
     """Dump base and fully adjusted unit costs for audit, creating out_dir."""
-    rows = []
-    for (action, geotype, country) in sorted(
-            table.adjusted,
-            key=lambda k: (k[0].value, "" if k[1] is None else k[1].value, k[2])):
-        rows.append([
-            action.value,
-            "" if geotype is None else geotype.value,
-            country,
-            table.base[(action, geotype)],
-            table.adjusted[(action, geotype, country)],
-        ])
+    action_value = _values(CostAction)
+    geotype_value = {None: "", **_values(Geotype)}
+    rows = [[action_value[action], geotype_value[geotype], country,
+             table.base[(action, geotype)], table.adjusted[(action, geotype, country)]]
+            for action, geotype, country in table.adjusted]
+    rows.sort(key=itemgetter(0, 1, 2))
     return _write_csv(Path(out_dir) / "cost_table.csv",
                       ["action", "geotype", "country", "base_eur", "adjusted_eur"], rows)
 
 
 def write_coverage_points(state, out_dir: str | Path) -> Path:
     """Dump the disaggregated coverage state for inspection, creating out_dir."""
-    rows = []
-    for (region, geotype, tech) in sorted(state.entries,
-                                          key=lambda k: (k[0], k[1].order, k[2].value)):
-        rows.append([region, geotype.value, tech.value, state.entries[(region, geotype, tech)]])
+    geotype_value, tech_value = _values(Geotype), _values(TechClass)
+    keys = sorted(state.entries, key=lambda k: (k[0], _GEOTYPE_ORDER[k[1]], tech_value[k[2]]))
+    rows = [[region, geotype_value[g], tech_value[t], state.entries[region, g, t]]
+            for region, g, t in keys]
     return _write_csv(Path(out_dir) / "coverage_point.csv",
                       ["region", "geotype", "technology", "coverage"], rows)
 

@@ -66,6 +66,22 @@ class TestValidate:
         assert "Traceback" not in proc.stderr
         assert re.search(r"regions\.csv:\d+: expected 5 fields, got 1", proc.stdout)
 
+    def test_repeated_column_is_an_error(self, fixture_dir, tmp_path):
+        broken = tmp_path / "data"
+        shutil.copytree(fixture_dir, broken)
+        path = broken / "regions.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        # The second "households" copy holds the real counts, the first zeros.
+        assert lines[0].endswith(",households")
+        lines = [lines[0] + ",households"] + [
+            "{0},0,{1}".format(*line.rsplit(",", 1)) for line in lines[1:]]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        proc = gigagap("validate", "--dataset", str(broken))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "ERROR regions.csv:1: column 'households' appears more than once" in (
+            proc.stdout.splitlines())
+
     def test_locality_sum_mismatch_within_tolerance_prints_once(self, fixture_dir, tmp_path):
         # The FR101 copy of TestRun's warns-once test: 0.55 % off, within tolerance.
         data = tmp_path / "data"

@@ -82,14 +82,104 @@ class TestValidation:
         where = f"{filename}:{len(rows) + 1}:"
         assert any(where in m and "duplicate" in m for m in msgs)
 
-    @pytest.mark.parametrize("filename", dataio.DATASET_FILES)
-    def test_short_row_is_reported_with_its_line(self, broken_copy, filename):
+    @pytest.mark.parametrize("filename, blank_lines", [
+        *(pytest.param(f, 0, id=f) for f in dataio.DATASET_FILES),
+        pytest.param("localities.csv", 2, id="localities.csv-after-blank-lines"),
+    ])
+    def test_short_row_is_reported_with_its_line(self, broken_copy, filename, blank_lines):
         rows = list(csv.reader((broken_copy / filename).open(newline="")))
-        edit_csv(broken_copy / filename, lambda rows: rows + [["x"]])
+        edit_csv(broken_copy / filename, lambda rows: rows + [[]] * blank_lines + [["x"]])
         msgs = [m for m in errors_for(broken_copy) if "fields" in m]
         assert len(msgs) == 1
-        assert re.fullmatch(rf"ERROR {filename}:{len(rows) + 1}: expected \d+ fields, got 1",
-                            msgs[0])
+        line = len(rows) + blank_lines + 1
+        assert re.fullmatch(rf"ERROR {filename}:{line}: expected \d+ fields, got 1", msgs[0])
+
+    def test_quoted_newline_counts_as_a_line(self, broken_copy):
+        # A quoted field may span lines; a row's number is its last line.
+        rows = list(csv.reader((broken_copy / "localities.csv").open(newline="")))
+        edit_csv(broken_copy / "localities.csv",
+                 lambda rows: rows + [["ZZ\nL1", "FR101", "x", "10", "rural"], ["x"]])
+        n = len(rows)
+        assert errors_for(broken_copy) == [
+            f"ERROR localities.csv:{n + 2}: population: not a number: 'x'",
+            f"ERROR localities.csv:{n + 3}: expected 5 fields, got 1",
+        ]
+
+    def test_optional_band_columns_may_end_early(self, broken_copy):
+        def trim(rows):
+            by_code = {r[0]: r for r in rows[1:]}
+            by_code["DE"][:] = by_code["DE"][:9]    # ends before docsis_band
+            by_code["CY"][:] = by_code["CY"][:10]   # ends before fttp_band
+            return rows
+        edit_csv(broken_copy / "countries.csv", trim)
+        ds, report = dataio.validate_dataset(broken_copy)
+        assert report.entries == []
+        bands = {code: (c.docsis_band, c.fttp_band) for code, c in ds.countries.items()}
+        assert bands == {"FR": ("25-50", "25-50"), "DE": (None, None), "CY": (">50", None)}
+
+    def test_countries_with_docsis_band_only(self, broken_copy):
+        # FR's row keeps its fttp_band field, past the header's last column.
+        edit_csv(broken_copy / "countries.csv",
+                 lambda rows: [r if r[0] == "FR" else r[:-1] for r in rows])
+        ds, report = dataio.validate_dataset(broken_copy)
+        assert report.entries == []
+        assert {code: c.docsis_band for code, c in ds.countries.items()} == {
+            "FR": "25-50", "DE": ">50", "CY": ">50"}
+        assert all(c.fttp_band is None for c in ds.countries.values())
+
+    def test_enum_fields_are_stripped_and_degurba_case_folded(self, broken_copy, dataset):
+        spelled = {"urban": (" Urban ", "1", "URBAN"), "suburban": ("2", " suburban"),
+                   "rural": ("RURAL", " 3 ", "rural ")}
+
+        def respell(rows):
+            for i, r in enumerate(rows[1:]):
+                forms = spelled[r[4]]
+                r[4] = forms[i % len(forms)]
+            return rows
+        edit_csv(broken_copy / "localities.csv", respell)
+        edit_csv(broken_copy / "coverage_intervals.csv",
+                 lambda rows: rows[:1] + [[r[0], f" {r[1]} "] + r[2:] for r in rows[1:]])
+        edit_csv(broken_copy / "cost_references.csv",
+                 lambda rows: rows[:1] + [[f"{r[0]} ", f" {r[1]}"] + r[2:] for r in rows[1:]])
+        ds, report = dataio.validate_dataset(broken_copy)
+        assert report.entries == []
+        assert ds.localities == dataset.localities
+        assert ds.coverage_intervals == dataset.coverage_intervals
+        assert ds.cost_references == dataset.cost_references
+
+    @pytest.mark.parametrize("filename, column, raw, message", [
+        ("coverage_intervals.csv", 1, "lte",
+         "technology: 'lte' is not one of FTTH_100M, FTTH_1G, FTTB, FTTC_ADV_DSL, "
+         "DOCSIS_30, DOCSIS_31, LTE, FIVE_G"),
+        ("coverage_national.csv", 1, "5G",
+         "technology: '5G' is not one of FTTH_100M, FTTH_1G, FTTB, FTTC_ADV_DSL, "
+         "DOCSIS_30, DOCSIS_31, LTE, FIVE_G"),
+        ("localities.csv", 4, " Town ", "degurba: 'town' is not one of urban, suburban, rural"),
+        ("localities.csv", 4, "4", "degurba: '4' is not one of urban, suburban, rural"),
+        ("cost_references.csv", 1, "Urban",
+         "geotype: 'Urban' is not one of urban, suburban, semi_rural, rural, extremely_rural"),
+        ("countries.csv", 5, "ftth", "dominant_fixed_tech: 'ftth' is not one of "
+         "FTTH, FTTB_C, MIXED_URBAN_FTTH"),
+    ])
+    def test_unknown_enum_value_lists_the_valid_ones(self, broken_copy, filename, column,
+                                                     raw, message):
+        rows = list(csv.reader((broken_copy / filename).open(newline="")))
+        bad = rows[-1][:column] + [raw] + rows[-1][column + 1:]
+        edit_csv(broken_copy / filename, lambda rows: rows + [bad])
+        msgs = [m for m in errors_for(broken_copy) if m.startswith(f"ERROR {filename}:")]
+        assert msgs == [f"ERROR {filename}:{len(rows) + 1}: {message}"]
+
+    @pytest.mark.parametrize("filename, row, message", [
+        ("localities.csv", ["ZZ_L9", "FR101", "many", "10", "town"],
+         "population: not a number: 'many'"),
+        ("coverage_intervals.csv", ["FR101", "5G", "low", "0.5", "2019"],
+         "technology: '5G' is not one of FTTH_100M, FTTH_1G, FTTB, FTTC_ADV_DSL, "
+         "DOCSIS_30, DOCSIS_31, LTE, FIVE_G"),
+    ])
+    def test_first_bad_field_of_a_row_is_reported(self, broken_copy, filename, row, message):
+        rows = list(csv.reader((broken_copy / filename).open(newline="")))
+        edit_csv(broken_copy / filename, lambda rows: rows + [row])
+        assert errors_for(broken_copy) == [f"ERROR {filename}:{len(rows) + 1}: {message}"]
 
     def test_countries_without_optional_bands_validate(self, broken_copy):
         edit_csv(broken_copy / "countries.csv",
@@ -160,7 +250,7 @@ class TestValidation:
         msgs = errors_for(broken_copy)
         assert any("CY000" in m for m in msgs)
 
-    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    @pytest.mark.parametrize("raw", ["nan", "inf", " -Infinity ", "1e999"])
     def test_non_finite_household_count_rejected(self, broken_copy, raw):
         def poison(rows):
             rows[1][4] = raw
@@ -169,8 +259,7 @@ class TestValidation:
         ds, report = dataio.validate_dataset(broken_copy)
         assert ds is None
         msgs = [str(e) for e in report.errors]
-        assert any("regions.csv" in m and "households" in m and "finite" in m
-                   for m in msgs)
+        assert f"ERROR regions.csv:2: households: not a finite number: {raw!r}" in msgs
 
     def test_multiple_faults_all_reported(self, broken_copy):
         (broken_copy / "cohesion.csv").unlink()

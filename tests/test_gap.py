@@ -389,7 +389,11 @@ class TestPricingMemo:
         # The cells themselves are shared, read-only, between reports.
         assert reports[0].cells[0] is reports[2].cells[0]
 
-    def test_inputs_never_share_a_memo(self, dataset, prepared):
+    def test_inputs_never_share_a_memo(self, dataset):
+        # Its own dataset copy: the session dataset's base may already
+        # hold baseline cells, and then `prepared` reprices, not partitions.
+        dataset = dataclasses.replace(dataset)
+        prepared = prepare_inputs(dataset)
         run_scenario(dataset, BASELINE, prepared=prepared)
         assert prepared.partitions
         assert prepared.priced

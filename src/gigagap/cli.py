@@ -117,8 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="skip the commercial investment subtraction")
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; pricing runs in one thread, "
-                            "as a thread pool measured 3-4x slower")
+                       help="accepted for compatibility and ignored; pricing runs in "
+                            "one thread, as a thread pool measured 3-4x slower")
     p_run.add_argument("--relax-intervals", type=float, default=0.0, metavar="EPS",
                        help="widen coverage bands by EPS when reconciliation is infeasible")
 
@@ -148,9 +148,6 @@ def _print_summary(report: gap.GapReport) -> None:
     for key, label in _SUMMARY_ROWS:
         if key in report.totals:
             print(f"{label:<34}{_billions(report.totals[key]):>12}")
-    for key in sorted(report.totals):
-        if all(key != k for k, _ in _SUMMARY_ROWS):
-            print(f"{key:<34}{_billions(report.totals[key]):>12}")
     if report.operator is not None:
         op = report.operator
         print(f"{'commercial investment (fixed)':<34}{_billions(op.fixed_used_eur):>12}")
@@ -166,7 +163,6 @@ def cmd_run(args) -> int:
     options = gap.RunOptions(
         sharing_fraction=args.sharing,
         relax_intervals=args.relax_intervals,
-        threads=args.threads,
     )
     operator = None
     if not args.no_operator:

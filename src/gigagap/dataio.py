@@ -646,23 +646,18 @@ def summary_dict(report: "GapReport") -> dict:
     return out
 
 
-def write_reports(report: "GapReport", out_dir: str | Path,
-                  evolution: "EvolutionReport | None" = None) -> list[Path]:
-    """Write gap_cells.csv, gap_summary.json and histogram.csv (plus
-    evolution.json when trend data is supplied), creating out_dir. Output
-    is byte-stable for identical inputs."""
+def write_reports(report: "GapReport", out_dir: str | Path) -> list[Path]:
+    """Write gap_cells.csv, gap_summary.json, histogram.csv and a
+    single-vintage evolution.json stub, creating out_dir. Output is
+    byte-stable for identical inputs."""
     out_dir = Path(out_dir)
     summary = summary_dict(report)
-    if evolution is None:
-        evo = {
-            "format": "gigagap-evolution-v1",
-            "scenario_name": report.scenario_name,
-            "points": [{"vintage": report.vintage,
-                        "total_eur": report.headline_total_eur}],
-            "note": "single vintage; run compare with a second summary for a trend",
-        }
-    else:
-        evo = evolution_dict(evolution)
+    evo = {
+        "format": "gigagap-evolution-v1",
+        "scenario_name": report.scenario_name,
+        "points": [{"vintage": report.vintage, "total_eur": report.headline_total_eur}],
+        "note": "single vintage; run compare with a second summary for a trend",
+    }
     target, geotype, action, unit = map(_values, (Target, Geotype, CostAction, Unit))
     return [
         _write_csv(

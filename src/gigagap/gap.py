@@ -80,7 +80,6 @@ class RunOptions:
 
     sharing_fraction: float = 0.0
     relax_intervals: float = 0.0
-    threads: int = 1  # accepted for compatibility; pricing runs in one thread
     already_covered_road_fraction: float = 0.0
     already_covered_rail_fraction: float = 0.0
 
@@ -257,8 +256,9 @@ def gap_for_item(item: DemandItem, state: CoverageState, table: CostTable,
     footprint that already satisfies the demand and split over the
     cheapest admissible routes. That split depends only on the cell,
     its route rule, the state and the table, so it is kept in
-    `partitions` (PreparedInputs.partitions) and reused; with None it
-    is computed for this item alone.
+    `partitions`, which _priced_cells creates for one pricing call and
+    hands to every item it prices; with None it is computed for this
+    item alone.
     """
     options = options or RunOptions()
     country = frame.countries[frame.regions[item.region].country]
@@ -382,8 +382,9 @@ def _priced_cells(prepared: PreparedInputs, scenario: Scenario, options: RunOpti
                                    {Target.T3 if s is T3_COMPOSED else s for s in missing})
         if T3_COMPOSED in missing:
             demands[T3_COMPOSED] = dedup_t3_over_t4(demands[Target.T3], scenario)
-        args = (prepared.state, prepared.table, prepared.frame, scenario, options,
-                prepared.partitions)
+        # The splits live for this call only: its stages share cells, but a
+        # later call prices only keys that no earlier call priced.
+        args = (prepared.state, prepared.table, prepared.frame, scenario, options, {})
         for stage in missing:
             prepared.priced[keys[stage]] = prepared.shared[keys[stage]] = tuple(_sorted_cells(
                 [cell for item in demands[stage] for cell in gap_for_item(item, *args)]))
@@ -453,20 +454,20 @@ class PreparedInputs:
     """Scenario-independent pipeline inputs, reusable across runs.
 
     frame, state and table are read-only once prepared: every report run
-    from these inputs shares them, and so do four memos, filled on first
-    use. partitions is keyed on the cell and route rule alone. priced
-    holds each pricing stage's sorted cells, keyed on exactly the fields
-    PRICED_KEYS names for it, so the reports run from these inputs share
-    read-only GapCells (each report has its own cells list). Each
-    distinct pair of already-covered transport fractions adds one
+    from these inputs shares them, and so do three memos, filled on first
+    use. priced holds each pricing stage's sorted cells, keyed on exactly
+    the fields PRICED_KEYS names for it, so the reports run from these
+    inputs share read-only GapCells (each report has its own cells list).
+    Each distinct pair of already-covered transport fractions adds one
     T2_TRANSPORT entry per t2_quality run. shared is filled along with
-    priced; prepare_inputs points it at the memo its dataset base keeps
-    for the table's cost_ranking, so inputs of one dataset and relax
-    value whose tables rank alike price each key once. derived's netting
-    order compares costs across countries, which no cost_ranking fixes,
-    so it is never shared. To change frame, state or table, build a new
-    PreparedInputs; it starts with empty, private memos
-    (dataclasses.replace included: no memo is an init field).
+    priced; prepare_inputs points it at the memo its dataset base keeps for
+    the table's cost_ranking, so inputs of one dataset and relax value whose
+    tables rank alike price each key once. derived's netting order compares
+    costs across countries, which no cost_ranking fixes, so it is never
+    shared. To change frame, state or table, build a new PreparedInputs; it
+    starts with empty, private memos (dataclasses.replace included: no memo
+    is an init field). options: those prepare_inputs used; None for inputs
+    built or replaced by hand.
     """
 
     frame: GeoFrame
@@ -474,15 +475,13 @@ class PreparedInputs:
     table: CostTable
     # Read-only, as every report run from these inputs shares it; None: derived per run.
     regions: dict[str, RegionSummary] | None = None
-    # (region, geotype, satisfying techs, routes include DOCSIS?, new-build action)
-    # -> ((action, unit cost, slice widths), ...) in action order.
-    partitions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # (stage, *the values of its PRICED_KEYS fields) -> tuple of its sorted cells.
     priced: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # priced's keys -> sorted cells priced under a table with this table's cost_ranking.
     shared: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # A run's tuple of priced keys -> _derive's totals, country and geotype totals, pools.
     derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    options: RunOptions | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass
@@ -514,6 +513,7 @@ def prepare_inputs(dataset, options: RunOptions | None = None) -> PreparedInputs
     prepared = PreparedInputs(frame=base.frame, state=base.state, table=table,
                               regions=base.regions)
     prepared.shared = base.cells.setdefault(cost_ranking(table), {})
+    prepared.options = options
     return prepared
 
 
@@ -528,13 +528,23 @@ def run_scenario(dataset, scenario: Scenario, options: RunOptions | None = None,
     """Full pipeline for one scenario: frame, coverage, costs, demands,
     cells, composition and operator subtraction. Demands and cells come
     from prepared.priced, totals and netting pools from prepared.derived,
-    where an earlier run filled the same keys.
+    where an earlier run filled the same keys. With prepared given,
+    options may be None (the options prepare_inputs built it with) or
+    must have the same sharing_fraction and relax_intervals.
 
     Passing operator=None skips the subtraction entirely and leaves
     report.operator unset."""
-    options = options or RunOptions()
     if prepared is None:
+        options = options or RunOptions()
         prepared = prepare_inputs(dataset, options)
+    elif options is None:
+        options = prepared.options or RunOptions()
+    elif prepared.options is not None:
+        for name in ("sharing_fraction", "relax_intervals"):
+            given, built = getattr(options, name), getattr(prepared.options, name)
+            if given != built:
+                raise DataError(f"options {name} is {given}, but the prepared inputs "
+                                f"were built with {built}")
     frame = prepared.frame
     stages = [t for t in Target if only_targets is None or t in only_targets]
     if only_targets is None:

@@ -84,8 +84,14 @@ SCENARIO_PRESETS = {
 }
 
 
+_FLAG_TEXT = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
 def _flag(value) -> bool:
-    return value if isinstance(value, bool) else str(value).lower() in ("true", "1", "yes")
+    flag = _FLAG_TEXT.get(str(value).lower())  # a JSON boolean reads as "true" or "false"
+    if flag is None:
+        raise ValueError(f"docsis_upgrade must be true, 1, yes, false, 0 or no, got {value!r}")
+    return flag
 
 
 # Scenario field -> parser of the plain value scenario_to_fields writes.
@@ -101,7 +107,8 @@ def scenario_to_fields(scenario: Scenario) -> dict:
 
 def scenario_from_fields(fields: dict, what: str = "scenario") -> Scenario:
     """Inverse of scenario_to_fields; docsis_upgrade may also be text
-    (true, 1 or yes). A missing field or a bad value raises DataError."""
+    (true, 1, yes, false, 0 or no). A missing field or a bad value
+    raises DataError."""
     try:
         return Scenario(**{name: parse(fields[name]) for name, parse in _SCENARIO_FIELDS.items()})
     except KeyError as err:
@@ -111,7 +118,8 @@ def scenario_from_fields(fields: dict, what: str = "scenario") -> Scenario:
 
 
 def scenario_from_config(text: str) -> Scenario:
-    """Parse a key=value scenario file (one field per line, # comments)."""
+    """Parse a key=value scenario file (one field per line, # comments).
+    Each key must be a scenario field, given once."""
     fields = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -119,8 +127,13 @@ def scenario_from_config(text: str) -> Scenario:
             continue
         if "=" not in line:
             raise DataError(f"scenario config line {lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        fields[key.lower()] = value.lower()
+        key, value = (part.strip().lower() for part in line.split("=", 1))
+        if key not in _SCENARIO_FIELDS:
+            raise DataError(f"scenario config line {lineno}: unknown key {key!r}; "
+                            f"expected one of {', '.join(_SCENARIO_FIELDS)}")
+        if key in fields:
+            raise DataError(f"scenario config line {lineno}: {key} is given more than once")
+        fields[key] = value
     return scenario_from_fields(fields, "scenario config")
 
 

@@ -147,6 +147,24 @@ class TestRun:
         assert proc.returncode == 0, proc.stderr
         assert "scenario: custom" in proc.stdout
 
+    @pytest.mark.parametrize("mistake, message", [
+        ("docsis_upgrade = true\nsharing = 0.12\n", "line 6: unknown key 'sharing'"),
+        ("docsis_upgrade = true\ndocsis_upgrade = false\n",
+         "line 6: docsis_upgrade is given more than once"),
+        ("docsis_upgrade = maybe\n", "docsis_upgrade must be true, 1, yes, false, 0 or no"),
+    ], ids=["unknown-key", "repeated-key", "bad-flag"])
+    def test_scenario_config_mistake_is_domain_error(self, tmp_path, mistake, message):
+        config = tmp_path / "custom.scenario"
+        config.write_text(
+            "t1_quality = nominal\nt2_quality = nominal\n"
+            "t3_tier = one_million\nt4_wireless = extremely_rural_only\n" + mistake)
+        out = tmp_path / "out"
+        proc = gigagap("run", "--scenario", str(config), "--out", str(out))
+        assert proc.returncode == 1
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_unknown_scenario_is_domain_error(self, tmp_path):
         proc = gigagap("run", "--scenario", "nope", "--out", str(tmp_path / "x"))
         assert proc.returncode == 1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gigagap import gap
 from gigagap.costs import (
     CostAction,
     CostReference,
@@ -36,7 +37,7 @@ from gigagap.gap import (
     run_scenario,
     subtract_operator_investment,
 )
-from gigagap.gap import RegionSummary, _sorted_cells
+from gigagap.gap import RegionSummary, _item_paths, _sorted_cells
 from gigagap.geo import Geotype, build_frame
 from gigagap.targets import (
     SCENARIO_PRESETS,
@@ -47,6 +48,7 @@ from gigagap.targets import (
     T4WirelessScope,
     Target,
     Unit,
+    build_demands,
 )
 
 import oracle
@@ -228,6 +230,22 @@ class TestDedup:
             dedup_t3_over_t4([bad], BASELINE)
 
 
+@pytest.fixture
+def partition_calls(monkeypatch):
+    """The arguments of every gap.footprint_partition call from here on.
+    gap_for_item looks the function up as a module global, so the
+    wrapper sees every split a run computes."""
+    calls = []
+    real = gap.footprint_partition
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gap, "footprint_partition", counted)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def baseline_report(dataset, prepared):
     return run_scenario(dataset, BASELINE, scenario_name="baseline", prepared=prepared)
@@ -267,15 +285,25 @@ class TestRunScenario:
         full = run_scenario(dataset, BASELINE, prepared=prepared)
         assert rep.totals["t1"] == pytest.approx(full.totals["t1"], rel=1e-12)
 
-    def test_thread_count_does_not_change_results(self, dataset):
-        rep1 = run_scenario(dataset, BASELINE, RunOptions(threads=1))
-        rep8 = run_scenario(dataset, BASELINE, RunOptions(threads=8))
-        assert rep1.totals == rep8.totals
-        assert len(rep1.cells) == len(rep8.cells)
-        for a, b in zip(rep1.cells, rep8.cells):
-            assert (a.target, a.region, a.geotype, a.action, a.quantity,
-                    a.unit_cost_eur) == (b.target, b.region, b.geotype, b.action,
-                                         b.quantity, b.unit_cost_eur)
+    def test_prepared_inputs_take_the_options_they_were_built_with(self, dataset):
+        data = dataclasses.replace(dataset)
+        sharing = RunOptions(sharing_fraction=0.12)
+        prepared = prepare_inputs(data, sharing)
+        fresh = run_scenario(dataclasses.replace(data), BASELINE, sharing)
+        assert run_scenario(data, BASELINE, prepared=prepared).totals == fresh.totals
+        transport = RunOptions(sharing_fraction=0.12, already_covered_road_fraction=0.5)
+        assert (run_scenario(data, BASELINE, transport, prepared=prepared).totals
+                == run_scenario(dataclasses.replace(data), BASELINE, transport).totals)
+        plain = prepare_inputs(data)
+        for options, given, built in ((sharing, 0.12, 0.0),
+                                      (RunOptions(relax_intervals=0.01), 0.01, 0.0)):
+            with pytest.raises(DataError, match=f"is {given}, but .* built with {built}$"):
+                run_scenario(data, BASELINE, options, prepared=plain)
+        # Inputs built or replaced by hand record no options, so none are checked.
+        for copy in (dataclasses.replace(plain),
+                     PreparedInputs(frame=plain.frame, state=plain.state, table=plain.table)):
+            assert copy.options is None
+            run_scenario(data, BASELINE, sharing, prepared=copy)
 
     def test_sharing_reduces_every_total(self, dataset):
         base = run_scenario(dataset, BASELINE)
@@ -328,7 +356,7 @@ class TestRunScenario:
 
 
 class TestPricingMemo:
-    """PreparedInputs.partitions and PreparedInputs.priced, shared across
+    """PreparedInputs.priced and PreparedInputs.derived, shared across
     runs, change no result."""
 
     OPERATORS = (OperatorInvestment(),
@@ -350,7 +378,7 @@ class TestPricingMemo:
         return (report.cells, report.totals, report.country_totals,
                 report.geotype_totals, report.operator)
 
-    def test_shared_inputs_match_fresh_ones_in_any_order(self, dataset):
+    def test_shared_inputs_match_fresh_ones_in_any_order(self, dataset, partition_calls):
         assert len(self.SCENARIOS) == 48
         fresh = {point: self.run(dataclasses.replace(dataset), point)
                  for point in self.POINTS}
@@ -358,10 +386,34 @@ class TestPricingMemo:
         random.Random(20180924).shuffle(shuffled)
         for order in (self.POINTS, self.POINTS[::-1], shuffled):
             shared = prepare_inputs(dataclasses.replace(dataset))
+            partition_calls.clear()
             for point in order:
                 assert self.run(dataset, point, shared) == fresh[point], point
-            assert shared.partitions
+            assert len(partition_calls) > 0
             assert shared.priced
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_a_run_splits_each_cell_once(self, dataset, seed, partition_calls):
+        # The stages of one run share cells: T3 net of T4 reuses every
+        # split of T3, and T3 and T4 share route rules where both go fixed.
+        data = dataclasses.replace(dataset) if seed is None else random_dataset(seed)
+        prepared = prepare_inputs(data)
+        frame = prepared.frame
+        demands = build_demands(frame, BASELINE)
+        demands["composed"] = dedup_t3_over_t4(demands[Target.T3], BASELINE)
+        cells = set()
+        for item in itertools.chain.from_iterable(demands.values()):
+            if item.unit is Unit.PREMISES:
+                country = frame.countries[frame.regions[item.region].country]
+                satisfying, routes, newbuild = _item_paths(item, country, BASELINE)
+                cells.add((item.region, item.geotype, satisfying, tuple(routes.items()),
+                           newbuild))
+        partition_calls.clear()
+        run_scenario(data, BASELINE, prepared=prepared)
+        split = [(region, geotype, satisfying, tuple(routes.items()), newbuild)
+                 for _, region, geotype, satisfying, routes, newbuild, *_ in partition_calls]
+        assert len(split) == len(cells)
+        assert set(split) == cells
 
     def test_transport_fractions_each_match_fresh_runs(self, dataset):
         shared = prepare_inputs(dataset)
@@ -389,13 +441,13 @@ class TestPricingMemo:
         # The cells themselves are shared, read-only, between reports.
         assert reports[0].cells[0] is reports[2].cells[0]
 
-    def test_inputs_never_share_a_memo(self, dataset):
+    def test_inputs_never_share_a_memo(self, dataset, partition_calls):
         # Its own dataset copy: the session dataset's base may already
-        # hold baseline cells, and then `prepared` reprices, not partitions.
+        # hold baseline cells, and then `prepared` reprices instead of pricing.
         dataset = dataclasses.replace(dataset)
         prepared = prepare_inputs(dataset)
         run_scenario(dataset, BASELINE, prepared=prepared)
-        assert prepared.partitions
+        assert len(partition_calls) > 0
         assert prepared.priced
         assert prepared.derived
         entries = {k: 1.0 for k in prepared.state.entries}
@@ -403,7 +455,7 @@ class TestPricingMemo:
         copies = [PreparedInputs(frame=prepared.frame, state=raised, table=prepared.table),
                   dataclasses.replace(prepared, state=raised),
                   prepare_inputs(dataset)]
-        for memo in ("partitions", "priced", "derived"):
+        for memo in ("priced", "derived"):
             for copy in copies:
                 assert getattr(copy, memo) == {}
                 assert getattr(copy, memo) is not getattr(prepared, memo)
@@ -429,20 +481,24 @@ class TestSharingSweep:
     run = TestPricingMemo.run
 
     @pytest.mark.parametrize("seed", [None, 3, 17])
-    def test_every_point_matches_a_run_on_a_fresh_dataset(self, dataset, seed):
+    def test_every_point_matches_a_run_on_a_fresh_dataset(self, dataset, seed,
+                                                          partition_calls):
         data = dataclasses.replace(dataset) if seed is None else random_dataset(seed)
-        fresh = {}
+        fresh = {(sharing, point): self.run(dataclasses.replace(data), point,
+                                            options=RunOptions(sharing_fraction=sharing))
+                 for sharing in set(self.SHARING) for point in self.POINTS}
         for i, sharing in enumerate(self.SHARING):
             options = RunOptions(sharing_fraction=sharing)
             shared = prepare_inputs(data, options)
+            partition_calls.clear()
             for point in self.POINTS:
-                if (sharing, point) not in fresh:
-                    fresh[sharing, point] = self.run(dataclasses.replace(data), point,
-                                                     options=options)
                 assert self.run(data, point, shared, options) == fresh[sharing, point], (
                     seed, sharing, point)
             # Only the first input prices; the others reprice the base's cells.
-            assert bool(shared.partitions) == (i == 0)
+            if i == 0:
+                assert len(partition_calls) > 0
+            else:
+                assert len(partition_calls) == 0, (seed, sharing)
         assert len(data.bases[0.0].cells) == 1
 
     def test_sharing_values_share_one_base_per_relax_value(self, dataset):
@@ -465,7 +521,7 @@ class TestSharingSweep:
         assert set(data.bases) == {0.0, 0.01}
         assert dataclasses.replace(data).bases == {}
 
-    def test_hand_built_inputs_never_touch_a_base(self, dataset):
+    def test_hand_built_inputs_never_touch_a_base(self, dataset, partition_calls):
         data = dataclasses.replace(dataset)
         prepared = prepare_inputs(data)
         run_scenario(data, BASELINE, prepared=prepared)
@@ -474,12 +530,13 @@ class TestSharingSweep:
                                     table=prepared.table),
                      dataclasses.replace(prepared)):
             assert copy.shared == {}
+            partition_calls.clear()
             run_scenario(data, SCENARIO_PRESETS["max"], prepared=copy)
-            assert copy.partitions
+            assert len(partition_calls) > 0
             assert copy.shared.keys() == copy.priced.keys()
         assert data.bases[0.0].cells == base_cells
 
-    def test_a_tie_made_by_scaling_prices_afresh(self, dataset):
+    def test_a_tie_made_by_scaling_prices_afresh(self, dataset, partition_calls):
         # The FTTC upgrade costs one float step below the FTTH new build in
         # every geotype: it wins at sharing 0. Scaled by 1 - 0.12 the two
         # round to one cost in every country, and the new build wins the tie
@@ -509,10 +566,11 @@ class TestSharingSweep:
         before = [self.run(data, point, plain) for point in self.POINTS]
         tied = prepare_inputs(data, options)
         assert cost_ranking(tied.table) != cost_ranking(plain.table)
+        partition_calls.clear()
         after = [self.run(data, point, tied, options) for point in self.POINTS]
+        assert len(partition_calls) > 0
         for point, got in zip(self.POINTS, after):
             assert got == self.run(dataclasses.replace(data), point, options=options), point
-        assert tied.partitions
         assert any(c.action is upgrade for c in before[0][0])
         assert not any(c.action is upgrade for c in after[0][0])
 

@@ -21,6 +21,8 @@ from gigagap.targets import (
     demand_t4,
     household_equivalents,
     scenario_from_config,
+    scenario_from_fields,
+    scenario_to_fields,
     select_t3_enterprises,
     t4_action,
 )
@@ -77,6 +79,38 @@ class TestScenario:
     def test_config_bad_line_rejected(self):
         with pytest.raises(DataError, match="key=value"):
             scenario_from_config("just words")
+
+    VALID_CONFIG = ("t1_quality = nominal\nt2_quality = nominal\nt3_tier = one_million\n"
+                    "t4_wireless = extremely_rural_only\n")
+
+    @pytest.mark.parametrize("lines, message", [
+        ("docsis_upgrade = true\nsharing = 0.12", "line 6: unknown key 'sharing'"),
+        ("docsis_upgrade = true\n\nDOCSIS_upgrade = false",
+         "line 7: docsis_upgrade is given more than once"),
+        ("t1_quality = guaranteed\ndocsis_upgrade = true",
+         "line 5: t1_quality is given more than once"),
+    ], ids=["unknown", "repeated-flag", "repeated-enum"])
+    def test_config_unknown_or_repeated_key_rejected(self, lines, message):
+        with pytest.raises(DataError, match=f"^scenario config {message}"):
+            scenario_from_config(self.VALID_CONFIG + lines)
+
+    @pytest.mark.parametrize("value, expected", [
+        ("true", True), ("1", True), ("YES", True),
+        ("false", False), ("0", False), ("No", False),
+    ])
+    def test_config_flag_spellings(self, value, expected):
+        scenario = scenario_from_config(self.VALID_CONFIG + f"docsis_upgrade = {value}")
+        assert scenario.docsis_upgrade is expected
+
+    @pytest.mark.parametrize("value", ["maybe", "", "on", "2"])
+    def test_config_other_flag_values_rejected(self, value):
+        with pytest.raises(DataError, match="docsis_upgrade must be true, 1, yes, false, 0 or no"):
+            scenario_from_config(self.VALID_CONFIG + f"docsis_upgrade = {value}")
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_fields_take_json_booleans(self, flag):
+        fields = {**scenario_to_fields(SCENARIO_PRESETS["baseline"]), "docsis_upgrade": flag}
+        assert scenario_from_fields(fields).docsis_upgrade is flag
 
 
 class TestEquivalents:

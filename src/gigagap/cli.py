@@ -62,7 +62,10 @@ def _resolve_scenario(arg: str) -> tuple[Scenario, str]:
         return SCENARIO_PRESETS[key], key
     path = Path(arg)
     if path.is_file():
-        return scenario_from_config(path.read_text(encoding="utf-8")), path.stem
+        try:
+            return scenario_from_config(path.read_text(encoding="utf-8")), path.stem
+        except UnicodeDecodeError as err:
+            raise DataError(f"scenario config {path} is not UTF-8 text: {err}") from None
     raise DataError(
         f"scenario {arg!r} is neither a preset ({', '.join(sorted(SCENARIO_PRESETS))}) "
         "nor a readable config file")
@@ -260,10 +263,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_validate(_resolve_dataset(args.dataset))
         if args.command == "run":
             return cmd_run(args)
-        if args.command == "compare":
-            return cmd_compare(args)
-        parser.error(f"unknown command {args.command!r}")
-    except (FileNotFoundError, PermissionError) as err:
+        return cmd_compare(args)  # argparse admits only the three commands
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except DatasetValidationError as err:
@@ -274,7 +275,6 @@ def main(argv: list[str] | None = None) -> int:
     except GigagapError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

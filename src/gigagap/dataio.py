@@ -25,7 +25,7 @@ from .coverage import (PUBLISHED_BANDS, CoverageInterval, NationalFigure, TechCl
 from .errors import DataError, DatasetValidationError
 from .geo import (_GEOTYPE_ORDER, LOCALITY_SUM_TOLERANCE, SIZE_CLASSES, Country, Degurba,
                   FixedTechChoice, Geotype, Locality, Region, locality_sum_mismatches)
-from .targets import Target, Unit
+from .targets import _FLAG_TEXT, Target, Unit
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gap import EvolutionReport, GapReport
@@ -97,10 +97,10 @@ class ValidationReport:
 class Dataset:
     """Fully parsed and cross-checked model inputs.
 
-    Read-only once loaded: gap.prepare_inputs caches in `bases` what it
-    derives from this object without the cost table, one entry per
-    relax_intervals value, for as long as the dataset lives. For a
-    variant, use dataclasses.replace; the copy starts with no bases.
+    Read-only once loaded. gap.prepare_inputs caches in `store`, while the
+    dataset lives: ("base", relax) -> frame, coverage state and region
+    summaries; ("cells", relax, cost ranking) -> {stage key: sorted cells
+    as first priced}. dataclasses.replace makes a variant with an empty store.
     """
 
     path: Path | None
@@ -114,8 +114,7 @@ class Dataset:
     cost_references: list[CostReference]
     price_index: dict[int, float]
     cohesion: dict[str, bool]
-    # relax_intervals -> gap._Base (frame, coverage state, region summaries, cells)
-    bases: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    store: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def _parsed_rows(path: Path, report: ValidationReport, filename: str,
@@ -126,56 +125,68 @@ def _parsed_rows(path: Path, report: ValidationReport, filename: str,
     ones, positionally; an optional column the file or row lacks reads as "".
     Reported instead: a row that ends before the last required column, one
     whose parse raises DataError, and one whose key(value) repeats an
-    earlier row's, as "duplicate " + duplicate.format(value)."""
+    earlier row's, as "duplicate " + duplicate.format(value). A byte that
+    is not UTF-8, or a csv.Error, is one error and ends the file."""
     file = path / filename
     if not file.is_file():
         report.error(filename, 0, "file not found")
         return
     with open(file, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in required if c not in header]
-        if missing:
-            report.error(filename, 1, f"missing required columns: {', '.join(missing)}")
-            return
-        index = {col: i for i, col in enumerate(header)}
-        if len(index) < len(header):
-            for col in index:
-                if header.count(col) > 1:
-                    report.error(filename, 1, f"column {col!r} appears more than once")
-            return
-        known = set(required) | set(optional)
-        for col in header:
-            if col not in known:
-                report.warning(filename, 1, f"ignoring unknown column {col!r}")
-        need = 1 + max(index[c] for c in required)
-        # An optional column the file lacks is read past its last column: then
-        # every row, as any row not as wide as the header, is cut and padded.
-        width = len(header)
-        lacking = not index.keys() >= set(optional)
-        fields = itemgetter(*(index.get(c, width) for c in required + optional))
-        blanks = [""] * (width + 1)
-        seen = set()
-        for row in reader:
-            if len(row) != width or lacking:
-                if not row:
+        try:
+            header = next(reader, [])
+            missing = [c for c in required if c not in header]
+            if missing:
+                report.error(filename, 1, f"missing required columns: {', '.join(missing)}")
+                return
+            index = {col: i for i, col in enumerate(header)}
+            if len(index) < len(header):
+                for col in index:
+                    if header.count(col) > 1:
+                        report.error(filename, 1, f"column {col!r} appears more than once")
+                return
+            known = set(required) | set(optional)
+            for col in header:
+                if col not in known:
+                    report.warning(filename, 1, f"ignoring unknown column {col!r}")
+            need = 1 + max(index[c] for c in required)
+            # An optional column the file lacks is read past its last column: then
+            # every row, as any row not as wide as the header, is cut and padded.
+            width = len(header)
+            lacking = not index.keys() >= set(optional)
+            fields = itemgetter(*(index.get(c, width) for c in required + optional))
+            blanks = [""] * (width + 1)
+            seen = set()
+            for row in reader:
+                if len(row) != width or lacking:
+                    if not row:
+                        continue
+                    if len(row) < need:
+                        report.error(filename, reader.line_num,
+                                     f"expected {need} fields, got {len(row)}")
+                        continue
+                    row = row[:width] + blanks
+                try:
+                    value = parse(*fields(row))
+                except DataError as err:
+                    report.error(filename, reader.line_num, str(err))
                     continue
-                if len(row) < need:
-                    report.error(filename, reader.line_num,
-                                 f"expected {need} fields, got {len(row)}")
-                    continue
-                row = row[:width] + blanks
+                if key is not None:
+                    if (k := key(value)) in seen:
+                        report.error(filename, reader.line_num,
+                                     "duplicate " + duplicate.format(value))
+                        continue
+                    seen.add(k)
+                yield reader.line_num, value
+        except csv.Error as err:
+            report.error(filename, reader.line_num, f"{err}; file not read further")
+        except UnicodeDecodeError:  # its offset counts from the chunk that failed
+            data = file.read_bytes()
             try:
-                value = parse(*fields(row))
-            except DataError as err:
-                report.error(filename, reader.line_num, str(err))
-                continue
-            if key is not None:
-                if (k := key(value)) in seen:
-                    report.error(filename, reader.line_num, "duplicate " + duplicate.format(value))
-                    continue
-                seen.add(k)
-            yield reader.line_num, value
+                data.decode("utf-8")
+            except UnicodeDecodeError as err:  # + b"?": one piece per line up to its own
+                report.error(filename, len((data[:err.start] + b"?").splitlines()),
+                             f"byte {data[err.start]:#04x} is not UTF-8; file not read further")
 
 
 def _parse_float(raw: str, what: str) -> float:
@@ -229,12 +240,10 @@ def _parse_degurba(raw: str) -> Degurba:
 
 
 def _parse_bool(raw: str, what: str) -> bool:
-    key = raw.strip().lower()
-    if key in ("true", "1", "yes"):
-        return True
-    if key in ("false", "0", "no"):
-        return False
-    raise DataError(f"{what}: expected a boolean, got {raw!r}")
+    flag = _FLAG_TEXT.get(raw.strip().lower())
+    if flag is None:
+        raise DataError(f"{what}: expected a boolean, got {raw!r}")
+    return flag
 
 
 def validate_dataset(path: str | Path) -> tuple[Dataset | None, ValidationReport]:

@@ -59,7 +59,7 @@ class GapCell:
     """Investment needed for one (target, region, geotype, action).
 
     Read-only once built: the reports run from one PreparedInputs share
-    their cells through PreparedInputs.priced."""
+    their cells through PreparedInputs.store."""
 
     target: Target
     region: str
@@ -109,6 +109,9 @@ class OperatorInvestment:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise DataError(f"operator {name} must be a finite number >= 0, got {value}")
+        if not 0.0 <= self.fixed_effective_fraction <= 1.0:  # NaN fails too
+            raise DataError("operator fixed_effective_fraction must be a finite number "
+                            f"in [0, 1], got {self.fixed_effective_fraction}")
 
     @property
     def fixed_pool_eur(self) -> float:
@@ -338,8 +341,9 @@ def _sorted_cells(cells: list[GapCell]) -> list[GapCell]:
 T3_COMPOSED = "t3_composed"
 
 # Pricing stage -> (Scenario fields, RunOptions fields) that its sorted cells
-# read, besides the PreparedInputs. PreparedInputs.priced is keyed on exactly
-# these: a field missing here would hand one scenario the cells of another.
+# read, besides the PreparedInputs. Its key in PreparedInputs.store is the stage
+# and these fields' values: a field missing here would hand one scenario the
+# cells of another.
 PRICED_KEYS = {
     Target.T1: (("t1_quality",), ()),
     Target.T2_URBAN: (("t2_quality",), ()),
@@ -363,20 +367,19 @@ def _repriced(cells: tuple[GapCell, ...], table: CostTable, frame: GeoFrame) -> 
 def _priced_cells(prepared: PreparedInputs, scenario: Scenario, options: RunOptions,
                   stages: list) -> tuple[tuple, dict]:
     """The stages' priced keys, and stage -> its sorted cells (a tuple),
-    from prepared.priced, else repriced from prepared.shared.
+    from prepared.store, else repriced from prepared.shared.
 
     Demands are built, in one build_demands call, only for the stages
-    whose key misses both; the composed T3 list is derived from T3's
-    demands.
+    whose key misses both; the composed T3 list comes from T3's demands.
     """
     keys = {stage: (stage, *(getattr(scenario, f) for f in PRICED_KEYS[stage][0]),
                     *(getattr(options, f) for f in PRICED_KEYS[stage][1]))
             for stage in stages}
+    store, shared = prepared.store, prepared.shared
     for key in keys.values():
-        if key not in prepared.priced and key in prepared.shared:
-            prepared.priced[key] = _repriced(prepared.shared[key], prepared.table,
-                                             prepared.frame)
-    missing = [stage for stage in stages if keys[stage] not in prepared.priced]
+        if key not in store and key in shared:
+            store[key] = _repriced(shared[key], prepared.table, prepared.frame)
+    missing = [stage for stage in stages if keys[stage] not in store]
     if missing:
         demands = tg.build_demands(prepared.frame, scenario,
                                    {Target.T3 if s is T3_COMPOSED else s for s in missing})
@@ -386,9 +389,9 @@ def _priced_cells(prepared: PreparedInputs, scenario: Scenario, options: RunOpti
         # later call prices only keys that no earlier call priced.
         args = (prepared.state, prepared.table, prepared.frame, scenario, options, {})
         for stage in missing:
-            prepared.priced[keys[stage]] = prepared.shared[keys[stage]] = tuple(_sorted_cells(
+            store[keys[stage]] = shared[keys[stage]] = tuple(_sorted_cells(
                 [cell for item in demands[stage] for cell in gap_for_item(item, *args)]))
-    return tuple(keys.values()), {stage: prepared.priced[keys[stage]] for stage in stages}
+    return tuple(keys.values()), {stage: store[keys[stage]] for stage in stages}
 
 
 def _total(cells: Iterable[GapCell]) -> float:
@@ -453,66 +456,45 @@ def _households_total(cells: list[GapCell], regions: dict[str, RegionSummary]) -
 class PreparedInputs:
     """Scenario-independent pipeline inputs, reusable across runs.
 
-    frame, state and table are read-only once prepared: every report run
-    from these inputs shares them, and so do three memos, filled on first
-    use. priced holds each pricing stage's sorted cells, keyed on exactly
-    the fields PRICED_KEYS names for it, so the reports run from these
-    inputs share read-only GapCells (each report has its own cells list).
-    Each distinct pair of already-covered transport fractions adds one
-    T2_TRANSPORT entry per t2_quality run. shared is filled along with
-    priced; prepare_inputs points it at the memo its dataset base keeps for
-    the table's cost_ranking, so inputs of one dataset and relax value whose
-    tables rank alike price each key once. derived's netting order compares
-    costs across countries, which no cost_ranking fixes, so it is never
-    shared. To change frame, state or table, build a new PreparedInputs; it
-    starts with empty, private memos (dataclasses.replace included: no memo
-    is an init field). options: those prepare_inputs used; None for inputs
-    built or replaced by hand.
+    frame, state, table and regions (None: derived per run) are read-only
+    once prepared, as every report run from these inputs shares them and
+    the cells in store. store, while these inputs live: PRICED_KEYS stage
+    key -> its sorted cells at this table (each pair of transport fractions
+    adds a T2_TRANSPORT key per t2_quality); ("run", a run's stage keys) ->
+    _derive's totals and netting pools, whose order compares costs across
+    countries, which no cost_ranking fixes. shared: stage key -> sorted
+    cells priced under a table that ranks alike; prepare_inputs makes it
+    the dataset's ("cells", relax, cost_ranking) entry. options: those
+    prepare_inputs used. Inputs built or replaced by hand (with
+    dataclasses.replace too) start with empty, private store and shared.
     """
 
     frame: GeoFrame
     state: CoverageState
     table: CostTable
-    # Read-only, as every report run from these inputs shares it; None: derived per run.
     regions: dict[str, RegionSummary] | None = None
-    # (stage, *the values of its PRICED_KEYS fields) -> tuple of its sorted cells.
-    priced: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # priced's keys -> sorted cells priced under a table with this table's cost_ranking.
+    store: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     shared: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # A run's tuple of priced keys -> _derive's totals, country and geotype totals, pools.
-    derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     options: RunOptions | None = field(default=None, init=False, compare=False, repr=False)
 
 
-@dataclass
-class _Base:
-    """The table-free inputs of one (dataset, relax_intervals); cells:
-    cost_ranking -> the shared memo of the inputs whose table ranks so."""
-
-    frame: GeoFrame
-    state: CoverageState
-    regions: dict[str, RegionSummary]
-    cells: dict = field(default_factory=dict)
-
-
 def prepare_inputs(dataset, options: RunOptions | None = None) -> PreparedInputs:
-    """Build the cost table for a dataset; take the frame, coverage state
-    and region summaries from dataset.bases, building them on the first
-    call with these relax_intervals."""
+    """Build the cost table for a dataset. The frame, coverage state and
+    region summaries come from dataset.store, built on the first call with
+    these relax_intervals; shared is its entry for the table's cost_ranking."""
     from .costs import build_cost_table
 
     options = options or RunOptions()
-    base = dataset.bases.get(options.relax_intervals)
-    if base is None:
+    store, relax = dataset.store, options.relax_intervals
+    if ("base", relax) not in store:
         frame = geo.build_frame(dataset)
-        state = cov.build_state(dataset, frame, options.relax_intervals)
-        base = dataset.bases[options.relax_intervals] = _Base(
-            frame, state, _region_summaries(dataset, frame, state))
-    table = build_cost_table(dataset.cost_references, base.frame.countries,
+        state = cov.build_state(dataset, frame, relax)
+        store["base", relax] = frame, state, _region_summaries(dataset, frame, state)
+    frame, state, regions = store["base", relax]
+    table = build_cost_table(dataset.cost_references, frame.countries,
                              dataset.price_index, options.sharing_fraction)
-    prepared = PreparedInputs(frame=base.frame, state=base.state, table=table,
-                              regions=base.regions)
-    prepared.shared = base.cells.setdefault(cost_ranking(table), {})
+    prepared = PreparedInputs(frame=frame, state=state, table=table, regions=regions)
+    prepared.shared = store.setdefault(("cells", relax, cost_ranking(table)), {})
     prepared.options = options
     return prepared
 
@@ -526,11 +508,11 @@ def run_scenario(dataset, scenario: Scenario, options: RunOptions | None = None,
                  only_targets: set[Target] | None = None,
                  prepared: PreparedInputs | None = None) -> GapReport:
     """Full pipeline for one scenario: frame, coverage, costs, demands,
-    cells, composition and operator subtraction. Demands and cells come
-    from prepared.priced, totals and netting pools from prepared.derived,
-    where an earlier run filled the same keys. With prepared given,
-    options may be None (the options prepare_inputs built it with) or
-    must have the same sharing_fraction and relax_intervals.
+    cells, composition and operator subtraction. Cells, totals and
+    netting pools come from prepared.store where an earlier run filled
+    the same keys. With prepared given, options may be None (the options
+    prepare_inputs built it with) or must have the same sharing_fraction
+    and relax_intervals.
 
     Passing operator=None skips the subtraction entirely and leaves
     report.operator unset."""
@@ -560,9 +542,9 @@ def run_scenario(dataset, scenario: Scenario, options: RunOptions | None = None,
     else:
         capitals = frozenset(c.capital_region for c in frame.countries.values())
         cells = compose_egs(standalone, t3_composed, capitals)
-    if keys not in prepared.derived:
-        prepared.derived[keys] = _derive(standalone, t3_composed, cells, frame, regions)
-    totals, country_totals, geotype_totals, pools = prepared.derived[keys]
+    if ("run", keys) not in prepared.store:
+        prepared.store["run", keys] = _derive(standalone, t3_composed, cells, frame, regions)
+    totals, country_totals, geotype_totals, pools = prepared.store["run", keys]
 
     report = GapReport(
         scenario=scenario, scenario_name=scenario_name, vintage=dataset.vintage,
@@ -611,7 +593,7 @@ def subtract_operator_investment(report: GapReport, operator: OperatorInvestment
     Fixed-network capex can only pay for fixed cells, wireless capex
     for 5G cells. The marginal cell is consumed partially and exactly.
     pools: _netting_pools(report.cells), which run_scenario keeps in
-    PreparedInputs.derived; None sorts report.cells here.
+    PreparedInputs.store; None sorts report.cells here.
     """
     def consume(order: tuple[GapCell, ...], pool: float) -> tuple[float, dict[str, float]]:
         left = pool

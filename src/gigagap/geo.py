@@ -38,6 +38,11 @@ class ModelEnum(Enum):
 
     __hash__ = object.__hash__
 
+    @classmethod
+    def _missing_(cls, value):
+        valid = ", ".join(member.value for member in cls)
+        raise ValueError(f"{value!r} is not a valid {cls.__name__}; expected one of {valid}")
+
 
 class Geotype(ModelEnum):
     """Settlement classes ordered from densest to sparsest."""

@@ -133,7 +133,10 @@ def scenario_from_config(text: str) -> Scenario:
                             f"expected one of {', '.join(_SCENARIO_FIELDS)}")
         if key in fields:
             raise DataError(f"scenario config line {lineno}: {key} is given more than once")
-        fields[key] = value
+        try:
+            fields[key] = _SCENARIO_FIELDS[key](value)
+        except ValueError as err:
+            raise DataError(f"scenario config line {lineno}: {key}: {err}") from None
     return scenario_from_fields(fields, "scenario config")
 
 

@@ -66,6 +66,19 @@ class TestValidate:
         assert "Traceback" not in proc.stderr
         assert re.search(r"regions\.csv:\d+: expected 5 fields, got 1", proc.stdout)
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_unreadable_csv_fails_without_traceback(self, fixture_dir, tmp_path, command):
+        broken = tmp_path / "data"
+        shutil.copytree(fixture_dir, broken)
+        with open(broken / "regions.csv", "ab") as fh:
+            fh.write(b"\xff")
+        out = ("--out", str(tmp_path / "out")) if command == "run" else ()
+        proc = gigagap(command, "--dataset", str(broken), *out)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert re.search(r"regions\.csv:\d+: byte 0xff is not UTF-8",
+                         proc.stdout + proc.stderr)
+
     def test_repeated_column_is_an_error(self, fixture_dir, tmp_path):
         broken = tmp_path / "data"
         shutil.copytree(fixture_dir, broken)
@@ -164,6 +177,14 @@ class TestRun:
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+    def test_scenario_config_not_utf8_is_domain_error(self, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"t1_quality = nominal\xff\n")
+        proc = gigagap("run", "--scenario", str(config), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert "is not UTF-8 text" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_unknown_scenario_is_domain_error(self, tmp_path):
         proc = gigagap("run", "--scenario", "nope", "--out", str(tmp_path / "x"))
@@ -272,6 +293,20 @@ def test_bad_run_option_is_domain_error(tmp_path, flag, value):
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:")
         assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("run", "--out", "{file}"),
+    ("run", "--out", "{file}/sub"),
+    ("compare", "{dir}", "{dir}"),
+], ids=["out-is-a-file", "out-under-a-file", "summary-is-a-directory"])
+def test_environment_error_exits_2_without_traceback(tmp_path, args):
+    file = tmp_path / "file"
+    file.write_text("")
+    proc = gigagap(*(arg.format(file=file, dir=tmp_path) for arg in args))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 class TestDeterminism:

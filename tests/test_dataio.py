@@ -105,6 +105,33 @@ class TestValidation:
             f"ERROR localities.csv:{n + 3}: expected 5 fields, got 1",
         ]
 
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("blank_lines", [0, 10_000], ids=["first-chunk", "later-chunk"])
+    def test_byte_that_is_not_utf8_is_one_error_at_its_line(self, broken_copy, blank_lines, eol):
+        # Blank lines push the bad row past the first chunk the reader decodes.
+        path = broken_copy / "localities.csv"
+        lines = path.read_bytes().splitlines()
+        lines[-1:-1] = [b""] * blank_lines
+        lines[-1] = b"\xff" + lines[-1]
+        path.write_bytes(eol.join(lines) + eol)
+        edit_csv(broken_copy / "enterprises.csv", lambda rows: rows + [["FR", "500+", "10"]])
+        msgs = errors_for(broken_copy)
+        assert [m for m in msgs if re.match(r"ERROR localities\.csv:\d+:", m)] == [
+            f"ERROR localities.csv:{len(lines)}: byte 0xff is not UTF-8; file not read further"]
+        assert any(m.startswith("ERROR enterprises.csv:") and "500+" in m for m in msgs)
+
+    def test_field_over_the_csv_limit_is_one_error_at_its_line(self, broken_copy):
+        path = broken_copy / "regions.csv"
+        n = len(path.read_text(encoding="utf-8").splitlines())
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("FR999," + "9" * 131_073 + ",1,1,1\nFR998,1,1,1,1\n")
+        edit_csv(broken_copy / "enterprises.csv", lambda rows: rows + [["FR", "500+", "10"]])
+        msgs = errors_for(broken_copy)
+        assert [m for m in msgs if re.match(r"ERROR regions\.csv:\d+:", m)] == [
+            f"ERROR regions.csv:{n + 1}: field larger than field limit (131072); "
+            "file not read further"]
+        assert any(m.startswith("ERROR enterprises.csv:") and "500+" in m for m in msgs)
+
     def test_optional_band_columns_may_end_early(self, broken_copy):
         def trim(rows):
             by_code = {r[0]: r for r in rows[1:]}

@@ -355,9 +355,23 @@ class TestRunScenario:
         assert run_scenario(dataset, BASELINE, prepared=bare).regions == fresh.regions
 
 
+def store_keys(prepared):
+    """prepared.store's stage keys and run keys. Every stage key is one of
+    PRICED_KEYS's stages, and every stage a run key names is stored."""
+    runs = {key for key in prepared.store if key[0] == "run"}
+    stages = prepared.store.keys() - runs
+    assert all(key[0] in gap.PRICED_KEYS for key in stages)
+    assert all(set(key[1]) <= stages for key in runs)
+    return stages, runs
+
+
+def dataset_entries(data, kind):
+    """data.store's entries of one kind ("base" or "cells"), by key."""
+    return {key: value for key, value in data.store.items() if key[0] == kind}
+
+
 class TestPricingMemo:
-    """PreparedInputs.priced and PreparedInputs.derived, shared across
-    runs, change no result."""
+    """PreparedInputs.store, shared across runs, changes no result."""
 
     OPERATORS = (OperatorInvestment(),
                  OperatorInvestment(fixed_per_year_eur=1e12, wireless_per_year_eur=2e9))
@@ -390,7 +404,8 @@ class TestPricingMemo:
             for point in order:
                 assert self.run(dataset, point, shared) == fresh[point], point
             assert len(partition_calls) > 0
-            assert shared.priced
+            stages, runs = store_keys(shared)
+            assert stages and runs
 
     @pytest.mark.parametrize("seed", [None, 3])
     def test_a_run_splits_each_cell_once(self, dataset, seed, partition_calls):
@@ -426,7 +441,7 @@ class TestPricingMemo:
                         == self.run(dataclasses.replace(dataset), point, options=options)), (
                             road, rail, point)
         # One T2_TRANSPORT entry per distinct pair of fractions.
-        transport = [key for key in shared.priced if key[0] is Target.T2_TRANSPORT]
+        transport = [key for key in store_keys(shared)[0] if key[0] is Target.T2_TRANSPORT]
         assert len(transport) == len(set(fractions))
 
     def test_reports_never_share_a_cells_list(self, dataset, prepared):
@@ -442,26 +457,24 @@ class TestPricingMemo:
         assert reports[0].cells[0] is reports[2].cells[0]
 
     def test_inputs_never_share_a_memo(self, dataset, partition_calls):
-        # Its own dataset copy: the session dataset's base may already
+        # Its own dataset copy: the session dataset's store may already
         # hold baseline cells, and then `prepared` reprices instead of pricing.
         dataset = dataclasses.replace(dataset)
         prepared = prepare_inputs(dataset)
         run_scenario(dataset, BASELINE, prepared=prepared)
         assert len(partition_calls) > 0
-        assert prepared.priced
-        assert prepared.derived
+        stages, runs = store_keys(prepared)
+        assert stages and runs
         entries = {k: 1.0 for k in prepared.state.entries}
         raised = CoverageState(vintage=prepared.state.vintage, entries=entries)
         copies = [PreparedInputs(frame=prepared.frame, state=raised, table=prepared.table),
                   dataclasses.replace(prepared, state=raised),
                   prepare_inputs(dataset)]
-        for memo in ("priced", "derived"):
-            for copy in copies:
-                assert getattr(copy, memo) == {}
-                assert getattr(copy, memo) is not getattr(prepared, memo)
-            memos = [getattr(c, memo) for c in copies]
-            assert len({id(m) for m in memos}) == len(memos)
-        # Full coverage satisfies every premise; a memo shared with
+        for copy in copies:
+            assert copy.store == {}
+            assert copy.store is not prepared.store
+        assert len({id(c.store) for c in copies}) == len(copies)
+        # Full coverage satisfies every premise; a store shared with
         # `prepared` would price T4 as before.
         for copy in copies[:2]:
             assert run_scenario(dataset, BASELINE, prepared=copy).totals["t4"] == 0.0
@@ -469,7 +482,7 @@ class TestPricingMemo:
 
 class TestSharingSweep:
     """Inputs prepared from one dataset at several sharing values share its
-    base (frame, coverage state, region summaries and cells) and change no
+    store (frame, coverage state, region summaries and cells) and change no
     result."""
 
     SHARING = (0.0, 0.06, 0.12, 0.06, 0.0)
@@ -494,12 +507,12 @@ class TestSharingSweep:
             for point in self.POINTS:
                 assert self.run(data, point, shared, options) == fresh[sharing, point], (
                     seed, sharing, point)
-            # Only the first input prices; the others reprice the base's cells.
+            # Only the first input prices; the others reprice the dataset's cells.
             if i == 0:
                 assert len(partition_calls) > 0
             else:
                 assert len(partition_calls) == 0, (seed, sharing)
-        assert len(data.bases[0.0].cells) == 1
+        assert [key[:2] for key in dataset_entries(data, "cells")] == [("cells", 0.0)]
 
     def test_sharing_values_share_one_base_per_relax_value(self, dataset):
         data = dataclasses.replace(dataset)
@@ -518,14 +531,15 @@ class TestSharingSweep:
             assert other.regions is not first.regions
         assert copied.frame == first.frame == build_frame(data)
         assert copied.state == first.state
-        assert set(data.bases) == {0.0, 0.01}
-        assert dataclasses.replace(data).bases == {}
+        assert dataset_entries(data, "base").keys() == {("base", 0.0), ("base", 0.01)}
+        assert len(dataset_entries(data, "cells")) == 2
+        assert dataclasses.replace(data).store == {}
 
     def test_hand_built_inputs_never_touch_a_base(self, dataset, partition_calls):
         data = dataclasses.replace(dataset)
         prepared = prepare_inputs(data)
         run_scenario(data, BASELINE, prepared=prepared)
-        base_cells = {ranking: dict(memo) for ranking, memo in data.bases[0.0].cells.items()}
+        stored = {key: dict(cells) for key, cells in data.store.items() if key[0] == "cells"}
         for copy in (PreparedInputs(frame=prepared.frame, state=prepared.state,
                                     table=prepared.table),
                      dataclasses.replace(prepared)):
@@ -533,8 +547,9 @@ class TestSharingSweep:
             partition_calls.clear()
             run_scenario(data, SCENARIO_PRESETS["max"], prepared=copy)
             assert len(partition_calls) > 0
-            assert copy.shared.keys() == copy.priced.keys()
-        assert data.bases[0.0].cells == base_cells
+            assert copy.shared.keys() == store_keys(copy)[0]
+            assert all(copy.shared is not cells for cells in data.store.values())
+        assert dataset_entries(data, "cells") == stored
 
     def test_a_tie_made_by_scaling_prices_afresh(self, dataset, partition_calls):
         # The FTTC upgrade costs one float step below the FTTH new build in
@@ -576,7 +591,7 @@ class TestSharingSweep:
 
 
 class TestNettingPools:
-    """run_scenario nets through the pools that PreparedInputs.derived
+    """run_scenario nets through the pools that PreparedInputs.store
     keeps; they give what sorting the report's cells afresh gives."""
 
     SHARING = (0.0, 0.06, 0.12)
@@ -652,6 +667,12 @@ class TestOperator:
         op = OperatorInvestment()
         assert op.fixed_pool_eur == 41.6e9
         assert op.wireless_pool_eur == 132e9
+
+    @pytest.mark.parametrize("fraction", [float("nan"), -1.0, 1.5])
+    def test_effective_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(DataError, match=r"fixed_effective_fraction must be a finite "
+                                            r"number in \[0, 1\]"):
+            OperatorInvestment(fixed_effective_fraction=fraction)
 
     def test_greedy_equals_sweep_oracle_with_partial_pools(self, baseline_report):
         op = OperatorInvestment(fixed_per_year_eur=0.5e9, wireless_per_year_eur=0.3e9)

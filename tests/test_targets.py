@@ -71,7 +71,9 @@ class TestScenario:
             scenario_from_config("t1_quality = nominal")
 
     def test_config_bad_value_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"^scenario config line 1: t1_quality: 'super' is "
+                                            r"not a valid Quality; expected one of nominal, "
+                                            r"guaranteed$"):
             scenario_from_config(
                 "t1_quality=super\nt2_quality=nominal\nt3_tier=all_enterprises\n"
                 "t4_wireless=extremely_rural_only\ndocsis_upgrade=true")

@@ -63,7 +63,7 @@ def _resolve_scenario(arg: str) -> tuple[Scenario, str]:
     path = Path(arg)
     if path.is_file():
         try:
-            return scenario_from_config(path.read_text(encoding="utf-8")), path.stem
+            return scenario_from_config(path.read_text(encoding="utf-8-sig")), path.stem
         except UnicodeDecodeError as err:
             raise DataError(f"scenario config {path} is not UTF-8 text: {err}") from None
     raise DataError(

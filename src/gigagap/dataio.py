@@ -131,7 +131,7 @@ def _parsed_rows(path: Path, report: ValidationReport, filename: str,
     if not file.is_file():
         report.error(filename, 0, "file not found")
         return
-    with open(file, newline="", encoding="utf-8") as fh:
+    with open(file, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])

@@ -14,13 +14,14 @@ from __future__ import annotations
 import logging
 import math
 import statistics
+from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 
 from . import coverage as cov
 from . import geo
 from . import targets as tg
-from .costs import _WIRELESS_ACTIONS, CostAction, CostTable, check_sharing
+from .costs import _WIRELESS_ACTIONS, TRANSPORT_ACTIONS, CostAction, CostTable, check_sharing
 from .coverage import CapabilityTier, CoverageState, TechClass
 from .errors import CostTableError, DataError
 from .geo import _GEOTYPE_ORDER, GeoFrame, Geotype
@@ -229,24 +230,17 @@ def footprint_partition(state: CoverageState, region: str, geotype: Geotype,
 
 
 def cost_ranking(table: CostTable) -> tuple:
-    """Hashable weak order of the premise actions' adjusted unit costs
-    per (geotype, country), ties marked.
+    """Hashable weak order of every adjusted unit cost in the table, across
+    actions, geotypes (None: per km) and countries, ties marked.
 
-    footprint_partition compares costs only within one (geotype,
-    country), through < and ==, so under two tables with the same
-    ranking it picks the same action for every slice. Per-km actions are
-    never compared and are left out."""
-    groups: dict[tuple[int, str], list[tuple[float, int]]] = {}
-    for (action, geotype, country), cost in table.adjusted.items():
-        if geotype is not None:
-            groups.setdefault((_GEOTYPE_ORDER[geotype], country), []).append(
-                (cost, _ACTION_ORDER[action]))
-    ranking = []
-    for key in sorted(groups):
-        ordered = sorted(groups[key])
-        ranking.append((key, tuple((action, i > 0 and cost == ordered[i - 1][0])
-                                   for i, (cost, action) in enumerate(ordered))))
-    return tuple(ranking)
+    Costs are compared only through < and ==: by footprint_partition
+    within one (geotype, country), and by _netting_order across all the
+    cells of a run. So under two tables with the same ranking, the same
+    cells get the same slices and the same netting order."""
+    ranked = sorted((cost, _ACTION_ORDER[action], _GEOTYPE_ORDER.get(geotype, -1), country)
+                    for (action, geotype, country), cost in table.adjusted.items())
+    return tuple((key[1:], i > 0 and key[0] == ranked[i - 1][0])
+                 for i, key in enumerate(ranked))
 
 
 def gap_for_item(item: DemandItem, state: CoverageState, table: CostTable,
@@ -357,10 +351,12 @@ PRICED_KEYS = {
 
 def _repriced(cells: tuple[GapCell, ...], table: CostTable, frame: GeoFrame) -> tuple:
     """Cells priced under a table with the same cost_ranking, at this
-    table's unit costs: the entry a fresh partition would pick."""
-    regions = frame.regions
+    table's unit costs: the entry a fresh partition would pick. Tables that
+    rank alike hold the same keys, so each lookup is table.unit_cost's."""
+    regions, adjusted = frame.regions, table.adjusted
     return tuple(GapCell(c.target, c.region, c.geotype, c.unit, c.action, c.quantity,
-                         table.unit_cost(c.action, c.geotype, regions[c.region].country))
+                         adjusted[c.action, None if c.action in TRANSPORT_ACTIONS else c.geotype,
+                                  regions[c.region].country])
                  for c in cells)
 
 
@@ -415,9 +411,10 @@ def compose_egs(standalone: dict[Target, Sequence[GapCell]],
 
 
 def _derive(standalone: dict, t3_composed: Sequence[GapCell] | None, cells: list[GapCell],
-            frame: GeoFrame, regions: dict[str, RegionSummary]) -> tuple:
+            frame: GeoFrame, regions: dict[str, RegionSummary], order: tuple) -> tuple:
     """A run's totals, country and geotype totals and netting pools, each
-    total summed in cell order; t3_composed is None if not composed."""
+    total summed in cell order; t3_composed is None if not composed, and
+    order is _netting_order(cells)."""
     totals = {_TOTAL_KEYS[t]: _total(target_cells) for t, target_cells in standalone.items()}
     if t3_composed is not None:
         totals["t2_after_t1"] = (_total(c for c in cells if c.target is Target.T2_URBAN)
@@ -431,7 +428,7 @@ def _derive(standalone: dict, t3_composed: Sequence[GapCell] | None, cells: list
     for c in cells:
         country_totals[frame.regions[c.region].country] += c.investment_eur
         geotype_totals[c.geotype] += c.investment_eur
-    return totals, country_totals, geotype_totals, _netting_pools(cells)
+    return totals, country_totals, geotype_totals, _netting_pools(cells, order)
 
 
 def _households_total(cells: list[GapCell], regions: dict[str, RegionSummary]) -> float:
@@ -461,12 +458,13 @@ class PreparedInputs:
     the cells in store. store, while these inputs live: PRICED_KEYS stage
     key -> its sorted cells at this table (each pair of transport fractions
     adds a T2_TRANSPORT key per t2_quality); ("run", a run's stage keys) ->
-    _derive's totals and netting pools, whose order compares costs across
-    countries, which no cost_ranking fixes. shared: stage key -> sorted
-    cells priced under a table that ranks alike; prepare_inputs makes it
-    the dataset's ("cells", relax, cost_ranking) entry. options: those
-    prepare_inputs used. Inputs built or replaced by hand (with
-    dataclasses.replace too) start with empty, private store and shared.
+    _derive's totals and the netting pools gathered by shared's order.
+    shared, for every table that ranks alike: stage key -> sorted cells as
+    first priced; ("run", stage keys) -> _netting_order of the run's
+    composed cells. prepare_inputs makes it the dataset's ("cells", relax,
+    cost_ranking) entry. options: those prepare_inputs used. Inputs built
+    or replaced by hand (with dataclasses.replace too) start with empty,
+    private store and shared.
     """
 
     frame: GeoFrame
@@ -543,7 +541,10 @@ def run_scenario(dataset, scenario: Scenario, options: RunOptions | None = None,
         capitals = frozenset(c.capital_region for c in frame.countries.values())
         cells = compose_egs(standalone, t3_composed, capitals)
     if ("run", keys) not in prepared.store:
-        prepared.store["run", keys] = _derive(standalone, t3_composed, cells, frame, regions)
+        if ("run", keys) not in prepared.shared:
+            prepared.shared["run", keys] = _netting_order(cells)
+        prepared.store["run", keys] = _derive(standalone, t3_composed, cells, frame, regions,
+                                              prepared.shared["run", keys])
     totals, country_totals, geotype_totals, pools = prepared.store["run", keys]
 
     report = GapReport(
@@ -576,14 +577,20 @@ def _region_summaries(dataset, frame: GeoFrame, state: CoverageState) -> dict[st
     return out
 
 
-def _netting_pools(cells: Sequence[GapCell]) -> tuple:
-    """The fixed and the wireless cells, each a tuple in the order netting
-    consumes them (cheapest unit first), and the total of all cells."""
-    order = sorted(cells, key=lambda c: (
-        c.unit_cost_eur, c.region, _GEOTYPE_ORDER[c.geotype],
-        _TARGET_ORDER[c.target], _ACTION_ORDER[c.action]))
-    return (tuple(c for c in order if c.action not in _WIRELESS_ACTIONS),
-            tuple(c for c in order if c.action in _WIRELESS_ACTIONS), _total(cells))
+def _netting_order(cells: Sequence[GapCell]) -> tuple[array, array]:
+    """Indices into cells of the fixed and of the wireless cells, each in
+    the order netting consumes them: cheapest unit first."""
+    keys = [(c.unit_cost_eur, c.region, _GEOTYPE_ORDER[c.geotype],
+             _TARGET_ORDER[c.target], _ACTION_ORDER[c.action]) for c in cells]
+    order = sorted(range(len(cells)), key=keys.__getitem__)
+    return (array("I", [i for i in order if cells[i].action not in _WIRELESS_ACTIONS]),
+            array("I", [i for i in order if cells[i].action in _WIRELESS_ACTIONS]))
+
+
+def _netting_pools(cells: Sequence[GapCell], order: tuple[array, array]) -> tuple:
+    """The fixed and the wireless cells, each a tuple in netting order, and
+    the total of all cells."""
+    return (*(tuple(map(cells.__getitem__, indices)) for indices in order), _total(cells))
 
 
 def subtract_operator_investment(report: GapReport, operator: OperatorInvestment,
@@ -592,7 +599,7 @@ def subtract_operator_investment(report: GapReport, operator: OperatorInvestment
 
     Fixed-network capex can only pay for fixed cells, wireless capex
     for 5G cells. The marginal cell is consumed partially and exactly.
-    pools: _netting_pools(report.cells), which run_scenario keeps in
+    pools: _netting_pools(report.cells, ...), which run_scenario keeps in
     PreparedInputs.store; None sorts report.cells here.
     """
     def consume(order: tuple[GapCell, ...], pool: float) -> tuple[float, dict[str, float]]:
@@ -606,7 +613,9 @@ def subtract_operator_investment(report: GapReport, operator: OperatorInvestment
             left -= take
         return pool - left, used_by_region
 
-    fixed_cells, wireless_cells, total = _netting_pools(report.cells) if pools is None else pools
+    if pools is None:
+        pools = _netting_pools(report.cells, _netting_order(report.cells))
+    fixed_cells, wireless_cells, total = pools
     fixed_used, fixed_by_region = consume(fixed_cells, operator.fixed_pool_eur)
     wireless_used, wl_by_region = consume(wireless_cells, operator.wireless_pool_eur)
 

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import hashlib
 import json
@@ -9,6 +10,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from gigagap import cli
+from gigagap.targets import Quality, Scenario, T3Tier, T4WirelessScope
 
 OUTPUT_FILES = ("gap_cells.csv", "gap_summary.json", "histogram.csv",
                 "evolution.json", "coverage_point.csv", "cost_table.csv")
@@ -78,6 +82,18 @@ class TestValidate:
         assert "Traceback" not in proc.stderr
         assert re.search(r"regions\.csv:\d+: byte 0xff is not UTF-8",
                          proc.stdout + proc.stderr)
+
+    def test_byte_order_mark_reads_as_the_clean_copy(self, fixture_dir, tmp_path):
+        # Spreadsheet "CSV UTF-8" exports start the file with EF BB BF.
+        clean, marked = tmp_path / "clean", tmp_path / "marked"
+        for copy in (clean, marked):
+            shutil.copytree(fixture_dir, copy)
+        path = marked / "regions.csv"
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        want = gigagap("validate", "--dataset", str(clean))
+        got = gigagap("validate", "--dataset", str(marked))
+        assert (got.returncode, got.stdout, got.stderr) == (0, want.stdout, want.stderr)
+        assert want.returncode == 0
 
     def test_repeated_column_is_an_error(self, fixture_dir, tmp_path):
         broken = tmp_path / "data"
@@ -177,6 +193,18 @@ class TestRun:
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+    def test_scenario_config_with_byte_order_mark(self, tmp_path):
+        text = ("t1_quality = guaranteed\nt2_quality = nominal\n"
+                "t3_tier = one_million\nt4_wireless = all_three_rural\n"
+                "docsis_upgrade = false\n")
+        clean, marked = tmp_path / "clean.cfg", tmp_path / "marked.cfg"
+        clean.write_text(text, encoding="utf-8")
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        scenario, name = cli._resolve_scenario(str(marked))
+        assert (scenario, name) == (cli._resolve_scenario(str(clean))[0], "marked")
+        assert scenario == Scenario(Quality.GUARANTEED, Quality.NOMINAL, T3Tier.ONE_MILLION,
+                                    T4WirelessScope.ALL_THREE_RURAL, docsis_upgrade=False)
 
     def test_scenario_config_not_utf8_is_domain_error(self, tmp_path):
         config = tmp_path / "bad.cfg"

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import json
 import re
@@ -119,6 +120,21 @@ class TestValidation:
         assert [m for m in msgs if re.match(r"ERROR localities\.csv:\d+:", m)] == [
             f"ERROR localities.csv:{len(lines)}: byte 0xff is not UTF-8; file not read further"]
         assert any(m.startswith("ERROR enterprises.csv:") and "500+" in m for m in msgs)
+
+    def test_byte_after_a_byte_order_mark_is_reported_at_its_line(self, broken_copy):
+        # The line csv counts for a short last row is the line the byte check
+        # names for a bad byte on that row: the mark shifts neither.
+        path = broken_copy / "regions.csv"
+        lines = path.read_bytes().splitlines()
+
+        def regions_errors(last):
+            path.write_bytes(codecs.BOM_UTF8 + b"\n".join(lines[:-1] + [last]) + b"\n")
+            return [m for m in errors_for(broken_copy) if m.startswith("ERROR regions.csv:")]
+
+        assert regions_errors(lines[-1].split(b",")[0]) == [
+            f"ERROR regions.csv:{len(lines)}: expected 5 fields, got 1"]
+        assert regions_errors(b"\xff" + lines[-1]) == [
+            f"ERROR regions.csv:{len(lines)}: byte 0xff is not UTF-8; file not read further"]
 
     def test_field_over_the_csv_limit_is_one_error_at_its_line(self, broken_copy):
         path = broken_copy / "regions.csv"

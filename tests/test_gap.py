@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -246,6 +247,21 @@ def partition_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def netting_sorts(monkeypatch):
+    """The cells of every gap._netting_order call from here on: each call
+    sorts one run's composed cells into netting order."""
+    calls = []
+    real = gap._netting_order
+
+    def counted(cells):
+        calls.append(cells)
+        return real(cells)
+
+    monkeypatch.setattr(gap, "_netting_order", counted)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def baseline_report(dataset, prepared):
     return run_scenario(dataset, BASELINE, scenario_name="baseline", prepared=prepared)
@@ -355,19 +371,42 @@ class TestRunScenario:
         assert run_scenario(dataset, BASELINE, prepared=bare).regions == fresh.regions
 
 
+def netting_key(cell):
+    return (cell.unit_cost_eur, cell.region, cell.geotype.order,
+            gap._TARGET_ORDER[cell.target], gap._ACTION_ORDER[cell.action])
+
+
 def store_keys(prepared):
     """prepared.store's stage keys and run keys. Every stage key is one of
-    PRICED_KEYS's stages, and every stage a run key names is stored."""
+    PRICED_KEYS's stages, and every stage a run key names is stored. Every
+    run key's netting order is in prepared.shared: one index array of
+    fixed and one of wireless cells, which together index each of the
+    run's cells once; the run's pools hold those cells in netting order."""
     runs = {key for key in prepared.store if key[0] == "run"}
     stages = prepared.store.keys() - runs
     assert all(key[0] in gap.PRICED_KEYS for key in stages)
     assert all(set(key[1]) <= stages for key in runs)
+    for key in runs:
+        order, (fixed, wireless, _) = prepared.shared[key], prepared.store[key][3]
+        assert [type(indices) for indices in order] == [array, array]
+        assert sorted(itertools.chain(*order)) == list(range(len(fixed) + len(wireless)))
+        assert [len(indices) for indices in order] == [len(fixed), len(wireless)]
+        assert not any(c.action.wireless for c in fixed)
+        assert all(c.action.wireless for c in wireless)
+        for pool in (fixed, wireless):
+            assert all(netting_key(a) <= netting_key(b) for a, b in zip(pool, pool[1:]))
     return stages, runs
 
 
 def dataset_entries(data, kind):
     """data.store's entries of one kind ("base" or "cells"), by key."""
     return {key: value for key, value in data.store.items() if key[0] == kind}
+
+
+def only_country(table, code):
+    """The table with only one country's costs."""
+    return CostTable(base=table.base,
+                     adjusted={key: v for key, v in table.adjusted.items() if key[2] == code})
 
 
 class TestPricingMemo:
@@ -495,7 +534,7 @@ class TestSharingSweep:
 
     @pytest.mark.parametrize("seed", [None, 3, 17])
     def test_every_point_matches_a_run_on_a_fresh_dataset(self, dataset, seed,
-                                                          partition_calls):
+                                                          partition_calls, netting_sorts):
         data = dataclasses.replace(dataset) if seed is None else random_dataset(seed)
         fresh = {(sharing, point): self.run(dataclasses.replace(data), point,
                                             options=RunOptions(sharing_fraction=sharing))
@@ -504,14 +543,18 @@ class TestSharingSweep:
             options = RunOptions(sharing_fraction=sharing)
             shared = prepare_inputs(data, options)
             partition_calls.clear()
+            netting_sorts.clear()
             for point in self.POINTS:
                 assert self.run(data, point, shared, options) == fresh[sharing, point], (
                     seed, sharing, point)
-            # Only the first input prices; the others reprice the dataset's cells.
+            # Only the first input prices and sorts; the others reprice the
+            # dataset's cells and gather their pools by its netting order.
             if i == 0:
                 assert len(partition_calls) > 0
+                assert len(netting_sorts) == len(store_keys(shared)[1]) > 0
             else:
                 assert len(partition_calls) == 0, (seed, sharing)
+                assert len(netting_sorts) == 0, (seed, sharing)
         assert [key[:2] for key in dataset_entries(data, "cells")] == [("cells", 0.0)]
 
     def test_sharing_values_share_one_base_per_relax_value(self, dataset):
@@ -547,7 +590,9 @@ class TestSharingSweep:
             partition_calls.clear()
             run_scenario(data, SCENARIO_PRESETS["max"], prepared=copy)
             assert len(partition_calls) > 0
-            assert copy.shared.keys() == store_keys(copy)[0]
+            stages, runs = store_keys(copy)
+            assert stages and runs
+            assert copy.shared.keys() == stages | runs
             assert all(copy.shared is not cells for cells in data.store.values())
         assert dataset_entries(data, "cells") == stored
 
@@ -588,6 +633,77 @@ class TestSharingSweep:
             assert got == self.run(dataclasses.replace(data), point, options=options), point
         assert any(c.action is upgrade for c in before[0][0])
         assert not any(c.action is upgrade for c in after[0][0])
+
+    def test_a_tie_between_countries_made_by_scaling_sorts_afresh(
+            self, dataset, partition_calls, netting_sorts):
+        # FR takes DE's preparedness and a labour index one float step
+        # below DE's, and the road 5G cost is chosen so that FR's per-km cost
+        # is one float step below DE's at sharing 0 and equal to it at 0.12.
+        # At sharing 0 all FR road cells net before DE's; at 0.12 the tie
+        # goes to the region, and DE's regions sort first. No cost within one
+        # country changes rank, so only the global ranking tells them apart.
+        road = CostAction.FIVE_G_ROAD_NOMINAL_KM
+        de = dataset.countries["DE"]
+        labour = math.nextafter(de.labour_index, 0.0)
+
+        def adjusted(value, labour, sharing):
+            cost = apply_preparedness(adjust_labour(value, labour), de.preparedness)
+            return apply_sharing(cost, sharing)
+
+        for step in range(10_000):
+            value = 135_000.0 + step * 0.37
+            low, high = adjusted(value, labour, 0.0), adjusted(value, de.labour_index, 0.0)
+            if (math.nextafter(low, math.inf) == high
+                    and adjusted(value, labour, 0.12) == adjusted(value, de.labour_index, 0.12)):
+                break
+        else:
+            pytest.fail("no cost pair found that ties after scaling")
+        fr = dataclasses.replace(dataset.countries["FR"], labour_index=labour,
+                                 preparedness=dataclasses.replace(de.preparedness, country="FR"))
+        references = [r for r in dataset.cost_references if r.action is not road]
+        references.append(CostReference(road, None, Granularity.EU, value, 2019))
+        data = dataclasses.replace(dataset, cost_references=references,
+                                   countries={**dataset.countries, "FR": fr})
+        options = RunOptions(sharing_fraction=0.12)
+
+        plain = prepare_inputs(data)
+        tied = prepare_inputs(data, options)
+        for code in data.countries:
+            assert (cost_ranking(only_country(tied.table, code))
+                    == cost_ranking(only_country(plain.table, code))), code
+        assert cost_ranking(tied.table) != cost_ranking(plain.table)
+        assert tied.shared is not plain.shared
+        assert len(dataset_entries(data, "cells")) == 2
+
+        # A wireless pool that runs out halfway through the tied road cells.
+        fresh = run_scenario(dataclasses.replace(data), BASELINE, options, operator=None)
+        tie = tied.table.unit_cost(road, None, "DE")
+        wireless = [c for c in fresh.cells if c.action.wireless]
+        tied_cells = [c for c in wireless if c.unit_cost_eur == tie]
+        assert {fresh.regions[c.region].country for c in tied_cells} == {"DE", "FR"}
+        pool = (sum(c.investment_eur for c in wireless if c.unit_cost_eur < tie)
+                + sum(c.investment_eur for c in tied_cells) / 2)
+        operator = OperatorInvestment(fixed_per_year_eur=0.0, wireless_per_year_eur=pool,
+                                      horizon_years=1)
+
+        def run(data, options, prepared=None):
+            report = run_scenario(data, BASELINE, options, operator=operator,
+                                  prepared=prepared)
+            return report.cells, report.totals, report.operator
+
+        run(data, RunOptions(), plain)
+        partition_calls.clear()
+        netting_sorts.clear()
+        got = run(data, options, tied)
+        assert len(partition_calls) > 0
+        assert len(netting_sorts) == 1
+        assert got == run(dataclasses.replace(data), options)
+        # Gathered in the netting order of sharing 0, FR's road cells would
+        # net first, and the pool would run out elsewhere.
+        key = next(key for key in tied.store if key[0] == "run")
+        stale = gap._netting_pools(got[0], plain.shared[key])
+        report = run_scenario(data, BASELINE, options, operator=None, prepared=tied)
+        assert subtract_operator_investment(report, operator, stale).operator != got[2]
 
 
 class TestNettingPools:

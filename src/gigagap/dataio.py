@@ -738,17 +738,16 @@ def report_from_summary(path: str | Path) -> "GapReport":
                 premises_to_cover=r["premises_to_cover"], cohesion=r.get("cohesion"),
             ) for rid, r in data.get("regions", {}).items()
         }
-        return GapReport(
-            scenario=scenario,
-            scenario_name=sc.get("name", "unknown"),
-            vintage=int(data["vintage"]),
-            cells=[],
-            totals={k: float(v) for k, v in data.get("totals_eur", {}).items()},
-            country_totals={k: float(v)
-                            for k, v in data.get("country_totals_eur", {}).items()},
-            geotype_totals={},
-            regions=regions,
-        )
+        vintage = data["vintage"]
+        if type(vintage) is not int:  # not bool, float or string
+            raise DataError(f"{path}: vintage must be a JSON integer, got {vintage!r}")
+        totals = {k: float(v) for k, v in data.get("totals_eur", {}).items()}
+        country_totals = {k: float(v) for k, v in data.get("country_totals_eur", {}).items()}
+        if not all(map(math.isfinite, [*totals.values(), *country_totals.values()])):
+            raise DataError(f"{path}: totals must be finite numbers")
+        return GapReport(scenario=scenario, scenario_name=sc.get("name", "unknown"),
+                         vintage=vintage, cells=[], totals=totals,
+                         country_totals=country_totals, geotype_totals={}, regions=regions)
     except KeyError as err:
         raise DataError(f"{path}: gap summary lacks {err.args[0]!r}") from None
     except (AttributeError, TypeError, ValueError) as err:

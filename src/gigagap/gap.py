@@ -77,22 +77,21 @@ class GapCell:
 
 @dataclass
 class RunOptions:
-    """Knobs that are not part of the scenario itself."""
+    """What prepare_inputs reads besides the dataset: the knobs that are
+    not part of the scenario itself."""
 
     sharing_fraction: float = 0.0
     relax_intervals: float = 0.0
-    already_covered_road_fraction: float = 0.0
-    already_covered_rail_fraction: float = 0.0
 
     def __post_init__(self):
         check_sharing(self.sharing_fraction)
         if not (math.isfinite(self.relax_intervals) and self.relax_intervals >= 0):
             raise DataError(f"relax_intervals must be a finite number >= 0, "
                             f"got {self.relax_intervals}")
-        for name in ("already_covered_road_fraction", "already_covered_rail_fraction"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and 0.0 <= value <= 1.0):
-                raise DataError(f"{name} must be a finite number in [0, 1], got {value}")
+
+
+# Only part of fixed capex goes to new footprint the targets count.
+FIXED_EFFECTIVE_FRACTION = 2.0 / 3.0
 
 
 @dataclass
@@ -102,21 +101,24 @@ class OperatorInvestment:
     fixed_per_year_eur: float = 10.4e9
     wireless_per_year_eur: float = 22e9
     horizon_years: int = 6
-    # Only part of fixed capex goes to new footprint the targets count.
-    fixed_effective_fraction: float = 2.0 / 3.0
 
     def __post_init__(self):
         for name in ("fixed_per_year_eur", "wireless_per_year_eur", "horizon_years"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
+            if not value >= 0:  # NaN fails too; pools catch the infinities
                 raise DataError(f"operator {name} must be a finite number >= 0, got {value}")
-        if not 0.0 <= self.fixed_effective_fraction <= 1.0:  # NaN fails too
-            raise DataError("operator fixed_effective_fraction must be a finite number "
-                            f"in [0, 1], got {self.fixed_effective_fraction}")
+        for name in ("fixed_pool_eur", "wireless_pool_eur"):
+            try:
+                pool = getattr(self, name)
+            except OverflowError:  # an int horizon_years beyond the float range
+                pool = math.inf
+            if not math.isfinite(pool):
+                raise DataError(f"operator {name} (yearly figure times horizon_years) "
+                                f"must be a finite number, got {pool}")
 
     @property
     def fixed_pool_eur(self) -> float:
-        return self.fixed_per_year_eur * self.horizon_years * self.fixed_effective_fraction
+        return self.fixed_per_year_eur * self.horizon_years * FIXED_EFFECTIVE_FRACTION
 
     @property
     def wireless_pool_eur(self) -> float:
@@ -245,7 +247,6 @@ def cost_ranking(table: CostTable) -> tuple:
 
 def gap_for_item(item: DemandItem, state: CoverageState, table: CostTable,
                  frame: GeoFrame, scenario: Scenario,
-                 options: RunOptions | None = None,
                  partitions: dict | None = None) -> list[GapCell]:
     """Price one demand item into zero or more gap cells.
 
@@ -257,18 +258,14 @@ def gap_for_item(item: DemandItem, state: CoverageState, table: CostTable,
     hands to every item it prices; with None it is computed for this
     item alone.
     """
-    options = options or RunOptions()
     country = frame.countries[frame.regions[item.region].country]
 
     if item.unit in (Unit.KM_ROAD, Unit.KM_RAIL):
-        already = (options.already_covered_road_fraction if item.unit is Unit.KM_ROAD
-                   else options.already_covered_rail_fraction)
-        quantity = item.quantity * (1.0 - already)
-        if quantity <= 0:
+        if item.quantity <= 0:
             return []
         unit_cost = table.unit_cost(item.required_action, None, country.code)
         return [GapCell(item.target, item.region, item.geotype, item.unit,
-                        item.required_action, quantity, unit_cost)]
+                        item.required_action, item.quantity, unit_cost)]
 
     satisfying, routes, newbuild = _item_paths(item, country, scenario)
     # _item_paths returns constants, and only the five-G-only rule has no
@@ -334,18 +331,17 @@ def _sorted_cells(cells: list[GapCell]) -> list[GapCell]:
 # The pricing stage of the composed T3 list: T3 net of T4 (dedup_t3_over_t4).
 T3_COMPOSED = "t3_composed"
 
-# Pricing stage -> (Scenario fields, RunOptions fields) that its sorted cells
-# read, besides the PreparedInputs. Its key in PreparedInputs.store is the stage
-# and these fields' values: a field missing here would hand one scenario the
-# cells of another.
+# Pricing stage -> the Scenario fields that its sorted cells read, besides
+# the PreparedInputs. Its key in PreparedInputs.store is the stage and these
+# fields' values: a field missing here would hand one scenario the cells of
+# another.
 PRICED_KEYS = {
-    Target.T1: (("t1_quality",), ()),
-    Target.T2_URBAN: (("t2_quality",), ()),
-    Target.T2_TRANSPORT: (("t2_quality",), ("already_covered_road_fraction",
-                                            "already_covered_rail_fraction")),
-    Target.T3: (("t3_tier", "docsis_upgrade"), ()),
-    Target.T4: (("t4_wireless", "docsis_upgrade"), ()),
-    T3_COMPOSED: (("t3_tier", "t4_wireless", "docsis_upgrade"), ()),
+    Target.T1: ("t1_quality",),
+    Target.T2_URBAN: ("t2_quality",),
+    Target.T2_TRANSPORT: ("t2_quality",),
+    Target.T3: ("t3_tier", "docsis_upgrade"),
+    Target.T4: ("t4_wireless", "docsis_upgrade"),
+    T3_COMPOSED: ("t3_tier", "t4_wireless", "docsis_upgrade"),
 }
 
 
@@ -360,7 +356,7 @@ def _repriced(cells: tuple[GapCell, ...], table: CostTable, frame: GeoFrame) -> 
                  for c in cells)
 
 
-def _priced_cells(prepared: PreparedInputs, scenario: Scenario, options: RunOptions,
+def _priced_cells(prepared: PreparedInputs, scenario: Scenario,
                   stages: list) -> tuple[tuple, dict]:
     """The stages' priced keys, and stage -> its sorted cells (a tuple),
     from prepared.store, else repriced from prepared.shared.
@@ -368,8 +364,7 @@ def _priced_cells(prepared: PreparedInputs, scenario: Scenario, options: RunOpti
     Demands are built, in one build_demands call, only for the stages
     whose key misses both; the composed T3 list comes from T3's demands.
     """
-    keys = {stage: (stage, *(getattr(scenario, f) for f in PRICED_KEYS[stage][0]),
-                    *(getattr(options, f) for f in PRICED_KEYS[stage][1]))
+    keys = {stage: (stage, *(getattr(scenario, f) for f in PRICED_KEYS[stage]))
             for stage in stages}
     store, shared = prepared.store, prepared.shared
     for key in keys.values():
@@ -383,7 +378,7 @@ def _priced_cells(prepared: PreparedInputs, scenario: Scenario, options: RunOpti
             demands[T3_COMPOSED] = dedup_t3_over_t4(demands[Target.T3], scenario)
         # The splits live for this call only: its stages share cells, but a
         # later call prices only keys that no earlier call priced.
-        args = (prepared.state, prepared.table, prepared.frame, scenario, options, {})
+        args = (prepared.state, prepared.table, prepared.frame, scenario, {})
         for stage in missing:
             store[keys[stage]] = shared[keys[stage]] = tuple(_sorted_cells(
                 [cell for item in demands[stage] for cell in gap_for_item(item, *args)]))
@@ -428,7 +423,11 @@ def _derive(standalone: dict, t3_composed: Sequence[GapCell] | None, cells: list
     for c in cells:
         country_totals[frame.regions[c.region].country] += c.investment_eur
         geotype_totals[c.geotype] += c.investment_eur
-    return totals, country_totals, geotype_totals, _netting_pools(cells, order)
+    pools = _netting_pools(cells, order)
+    if not math.isfinite(pools[2]):
+        raise DataError(f"the run's total investment overflows to {pools[2]}: some "
+                        "quantity times its unit cost is too large for a float")
+    return totals, country_totals, geotype_totals, pools
 
 
 def _households_total(cells: list[GapCell], regions: dict[str, RegionSummary]) -> float:
@@ -456,8 +455,7 @@ class PreparedInputs:
     frame, state, table and regions (None: derived per run) are read-only
     once prepared, as every report run from these inputs shares them and
     the cells in store. store, while these inputs live: PRICED_KEYS stage
-    key -> its sorted cells at this table (each pair of transport fractions
-    adds a T2_TRANSPORT key per t2_quality); ("run", a run's stage keys) ->
+    key -> its sorted cells at this table; ("run", a run's stage keys) ->
     _derive's totals and the netting pools gathered by shared's order.
     shared, for every table that ranks alike: stage key -> sorted cells as
     first priced; ("run", stage keys) -> _netting_order of the run's
@@ -508,18 +506,14 @@ def run_scenario(dataset, scenario: Scenario, options: RunOptions | None = None,
     """Full pipeline for one scenario: frame, coverage, costs, demands,
     cells, composition and operator subtraction. Cells, totals and
     netting pools come from prepared.store where an earlier run filled
-    the same keys. With prepared given, options may be None (the options
-    prepare_inputs built it with) or must have the same sharing_fraction
-    and relax_intervals.
+    the same keys. options only prepare the inputs: with prepared given,
+    they may be None or must equal those prepare_inputs built it with.
 
     Passing operator=None skips the subtraction entirely and leaves
     report.operator unset."""
     if prepared is None:
-        options = options or RunOptions()
         prepared = prepare_inputs(dataset, options)
-    elif options is None:
-        options = prepared.options or RunOptions()
-    elif prepared.options is not None:
+    elif options is not None and prepared.options is not None:
         for name in ("sharing_fraction", "relax_intervals"):
             given, built = getattr(options, name), getattr(prepared.options, name)
             if given != built:
@@ -529,7 +523,7 @@ def run_scenario(dataset, scenario: Scenario, options: RunOptions | None = None,
     stages = [t for t in Target if only_targets is None or t in only_targets]
     if only_targets is None:
         stages.append(T3_COMPOSED)
-    keys, standalone = _priced_cells(prepared, scenario, options, stages)
+    keys, standalone = _priced_cells(prepared, scenario, stages)
 
     regions = prepared.regions or _region_summaries(dataset, frame, prepared.state)
 

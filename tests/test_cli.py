@@ -306,12 +306,30 @@ class TestRun:
         assert len(lines) == 1, proc.stderr
         assert "off by 0.55%" in lines[0]
 
+    def test_overflowing_investment_is_domain_error(self, fixture_dir, tmp_path):
+        # A finite unit cost whose product with a quantity is not.
+        data = tmp_path / "data"
+        shutil.copytree(fixture_dir, data)
+        path = data / "cost_references.csv"
+        text = path.read_text(encoding="utf-8")
+        assert "\nFTTH_NEW,urban,EU,561," in text
+        path.write_text(text.replace("\nFTTH_NEW,urban,EU,561,", "\nFTTH_NEW,urban,EU,1e308,"),
+                        encoding="utf-8")
+        proc = gigagap("run", "--dataset", str(data), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "total investment overflows" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize("flag, value", [
     ("--operator-fixed-per-year", "nan"),
     ("--operator-wireless-per-year", "-1e9"),
     ("--horizon-years", "-3"),
     ("--relax-intervals", "-0.5"),
+    # pools over the horizon that are not finite floats
+    ("--operator-fixed-per-year", "1e308"),
+    pytest.param("--horizon-years", "1" + "0" * 400, id="--horizon-years-401-digits"),
 ])
 def test_bad_run_option_is_domain_error(tmp_path, flag, value):
     # both spellings, since argparse reads a bare "-1e9" as an option
@@ -458,7 +476,12 @@ class TestCompare:
         '"t1_quality": "superb", "t2_quality": "nominal", "t3_tier": "all_enterprises", '
         '"t4_wireless": "extremely_rural_only", "docsis_upgrade": true}}',
         '["gigagap-summary-v1"]',
-    ], ids=["truncated", "missing-key", "bad-total", "bad-enum", "not-an-object"])
+        '{"format": "gigagap-summary-v1", "vintage": true}',
+        '{"format": "gigagap-summary-v1", "vintage": Infinity}',
+        '{"format": "gigagap-summary-v1", "vintage": 2021, "totals_eur": {"t1": NaN}}',
+        '{"format": "gigagap-summary-v1", "vintage": 2021, "country_totals_eur": {"FR": Infinity}}',
+    ], ids=["truncated", "missing-key", "bad-total", "bad-enum", "not-an-object",
+            "bool-vintage", "infinite-vintage", "nan-total", "infinite-country-total"])
     def test_malformed_summary_is_domain_error(self, baseline_out, tmp_path, content):
         bad = tmp_path / "bad.json"
         bad.write_text(content)

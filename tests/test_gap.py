@@ -174,33 +174,6 @@ class TestGapForItem:
         assert cells[0].unit_cost_eur == prepared.table.unit_cost(
             CostAction.FIVE_G_ROAD_NOMINAL_KM, None, "FR")
 
-    def test_km_item_already_covered_fraction(self, prepared):
-        item = DemandItem(Target.T2_TRANSPORT, "FR102", Geotype.RURAL, Unit.KM_ROAD,
-                          100.0, CostAction.FIVE_G_ROAD_NOMINAL_KM)
-        opts = RunOptions(already_covered_road_fraction=0.25)
-        cells = gap_for_item(item, prepared.state, prepared.table, prepared.frame,
-                             BASELINE, opts)
-        assert cells[0].quantity == pytest.approx(75.0)
-        opts_full = RunOptions(already_covered_road_fraction=1.0)
-        assert gap_for_item(item, prepared.state, prepared.table, prepared.frame,
-                            BASELINE, opts_full) == []
-
-    def test_km_item_bad_fraction_rejected(self, prepared):
-        item = DemandItem(Target.T2_TRANSPORT, "FR102", Geotype.RURAL, Unit.KM_ROAD,
-                          100.0, CostAction.FIVE_G_ROAD_NOMINAL_KM)
-        with pytest.raises(DataError, match="fraction"):
-            gap_for_item(item, prepared.state, prepared.table, prepared.frame,
-                         BASELINE, RunOptions(already_covered_road_fraction=1.5))
-
-    @pytest.mark.parametrize("name", ["already_covered_road_fraction",
-                                      "already_covered_rail_fraction"])
-    @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan")])
-    def test_bad_fraction_rejected_without_transport_items(self, dataset, prepared,
-                                                           name, value):
-        with pytest.raises(DataError, match=name):
-            run_scenario(dataset, BASELINE, RunOptions(**{name: value}),
-                         prepared=prepared, only_targets={Target.T1})
-
 
 class TestDedup:
     def item(self, geotype, qty=100.0, locations=30.0):
@@ -307,9 +280,6 @@ class TestRunScenario:
         prepared = prepare_inputs(data, sharing)
         fresh = run_scenario(dataclasses.replace(data), BASELINE, sharing)
         assert run_scenario(data, BASELINE, prepared=prepared).totals == fresh.totals
-        transport = RunOptions(sharing_fraction=0.12, already_covered_road_fraction=0.5)
-        assert (run_scenario(data, BASELINE, transport, prepared=prepared).totals
-                == run_scenario(dataclasses.replace(data), BASELINE, transport).totals)
         plain = prepare_inputs(data)
         for options, given, built in ((sharing, 0.12, 0.0),
                                       (RunOptions(relax_intervals=0.01), 0.01, 0.0)):
@@ -468,20 +438,6 @@ class TestPricingMemo:
                  for _, region, geotype, satisfying, routes, newbuild, *_ in partition_calls]
         assert len(split) == len(cells)
         assert set(split) == cells
-
-    def test_transport_fractions_each_match_fresh_runs(self, dataset):
-        shared = prepare_inputs(dataset)
-        fractions = [(0.0, 0.0), (0.25, 0.0), (0.25, 0.5), (0.0, 0.0)]
-        for road, rail in fractions:
-            options = RunOptions(already_covered_road_fraction=road,
-                                 already_covered_rail_fraction=rail)
-            for point in [(BASELINE, 0, None), (BASELINE, 1, frozenset({Target.T2_TRANSPORT}))]:
-                assert (self.run(dataset, point, shared, options)
-                        == self.run(dataclasses.replace(dataset), point, options=options)), (
-                            road, rail, point)
-        # One T2_TRANSPORT entry per distinct pair of fractions.
-        transport = [key for key in store_keys(shared)[0] if key[0] is Target.T2_TRANSPORT]
-        assert len(transport) == len(set(fractions))
 
     def test_reports_never_share_a_cells_list(self, dataset, prepared):
         reports = [run_scenario(dataset, BASELINE, prepared=prepared, operator=op,
@@ -732,10 +688,11 @@ class TestNettingPools:
                                      prepared=prepared).cells
                 op = OperatorInvestment(
                     fixed_per_year_eur=fixed * sum(c.investment_eur for c in cells
-                                                   if not c.action.wireless),
+                                                   if not c.action.wireless)
+                    / gap.FIXED_EFFECTIVE_FRACTION,
                     wireless_per_year_eur=wireless * sum(c.investment_eur for c in cells
                                                          if c.action.wireless),
-                    horizon_years=1, fixed_effective_fraction=1.0)
+                    horizon_years=1)
                 report = run_scenario(data, scenario, options, operator=op, prepared=prepared)
                 got = report.operator
                 assert (got.fixed_used_eur, got.wireless_used_eur,
@@ -783,12 +740,6 @@ class TestOperator:
         op = OperatorInvestment()
         assert op.fixed_pool_eur == 41.6e9
         assert op.wireless_pool_eur == 132e9
-
-    @pytest.mark.parametrize("fraction", [float("nan"), -1.0, 1.5])
-    def test_effective_fraction_outside_unit_interval_rejected(self, fraction):
-        with pytest.raises(DataError, match=r"fixed_effective_fraction must be a finite "
-                                            r"number in \[0, 1\]"):
-            OperatorInvestment(fixed_effective_fraction=fraction)
 
     def test_greedy_equals_sweep_oracle_with_partial_pools(self, baseline_report):
         op = OperatorInvestment(fixed_per_year_eur=0.5e9, wireless_per_year_eur=0.3e9)

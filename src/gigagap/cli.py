@@ -140,8 +140,9 @@ def cmd_validate(dataset_path: Path) -> int:
     if dataset is None:
         print(f"FAILED: {len(report.errors)} error(s) in {dataset_path}")
         return 1
+    localities = sum(sums.count for sums in dataset.localities.values())
     print(f"OK: {len(dataset.regions)} regions, {len(dataset.countries)} countries, "
-          f"{len(dataset.localities)} localities, vintage {dataset.vintage}")
+          f"{localities} localities, vintage {dataset.vintage}")
     return 0
 
 

@@ -24,7 +24,8 @@ from .costs import CostAction, CostReference, Granularity, PreparednessFactor
 from .coverage import (PUBLISHED_BANDS, CoverageInterval, NationalFigure, TechClass)
 from .errors import DataError, DatasetValidationError
 from .geo import (_GEOTYPE_ORDER, LOCALITY_SUM_TOLERANCE, SIZE_CLASSES, Country, Degurba,
-                  FixedTechChoice, Geotype, Locality, Region, locality_sum_mismatches)
+                  FixedTechChoice, Geotype, LocalitySums, Region, classify,
+                  locality_sum_mismatches)
 from .targets import _FLAG_TEXT, Target, Unit
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -97,6 +98,8 @@ class ValidationReport:
 class Dataset:
     """Fully parsed and cross-checked model inputs.
 
+    `localities` maps each region id to its localities' sums (count, totals
+    and per-geotype population and area); no single locality is kept.
     Read-only once loaded. gap.prepare_inputs caches in `store`, while the
     dataset lives: ("base", relax) -> frame, coverage state and region
     summaries; ("cells", relax, cost ranking) -> {stage key: sorted cells
@@ -107,7 +110,7 @@ class Dataset:
     vintage: int
     countries: dict[str, Country]
     regions: dict[str, Region]
-    localities: list[Locality]
+    localities: dict[str, LocalitySums]
     enterprises: dict[tuple[str, str], float]
     coverage_intervals: list[CoverageInterval]
     coverage_national: list[NationalFigure]
@@ -258,7 +261,7 @@ def validate_dataset(path: str | Path) -> tuple[Dataset | None, ValidationReport
         return None, report
 
     regions = _load_regions(path, report)
-    localities = _load_localities(path, report)
+    localities = _load_localities(path, report, regions)
     countries = _load_countries(path, report)
     enterprises = _load_enterprises(path, report)
     intervals = _load_intervals(path, report)
@@ -318,14 +321,32 @@ def _load_regions(path, report) -> dict[str, Region]:
     return out
 
 
-def _load_localities(path, report) -> list[Locality]:
+def _load_localities(path, report, regions) -> dict[str, LocalitySums]:
+    """Each known region's localities, classified and summed row by row."""
     def parse(id, region, population, area_km2, degurba):
-        return Locality(id.strip(), region.strip(), _parse_float(population, "population"),
-                        _parse_float(area_km2, "area_km2"), _parse_degurba(degurba))
+        id = id.strip()
+        population = _parse_float(population, "population")
+        area_km2 = _parse_float(area_km2, "area_km2")
+        degurba = _parse_degurba(degurba)
+        if area_km2 <= 0:
+            raise DataError(f"locality {id}: area must be positive, got {area_km2}")
+        if population < 0:
+            raise DataError(f"locality {id}: negative population {population}")
+        return id, region.strip(), population, area_km2, classify(degurba, population / area_km2)
 
+    out: dict[str, LocalitySums] = {}
     cols = ("id", "region", "population", "area_km2", "degurba")
-    return [loc for _, loc in _parsed_rows(path, report, "localities.csv", cols, parse,
-                                           attrgetter("id"), "locality id {0.id}")]
+    for lineno, (loc_id, region, population, area_km2, geotype) in _parsed_rows(
+            path, report, "localities.csv", cols, parse, itemgetter(0), "locality id {0[0]}"):
+        sums = out.get(region)
+        if sums is None:
+            if region not in regions:
+                report.error("localities.csv", lineno,
+                             f"locality {loc_id} references unknown region {region}")
+                continue
+            sums = out[region] = LocalitySums()
+        sums.add(population, area_km2, geotype)
+    return out
 
 
 _PREP_COLUMNS = (("prep_geo", "geographic"), ("prep_housing", "housing"),
@@ -454,21 +475,12 @@ def _cross_checks(report, regions, localities, countries, enterprises,
             report.error("regions.csv", 0,
                          f"region {region.id} references unknown country {region.country}")
 
-    by_region: dict[str, list[Locality]] = {}
-    for loc in localities:
-        if loc.region not in regions:
-            report.error("localities.csv", 0,
-                         f"locality {loc.id} references unknown region {loc.region}")
-            continue
-        by_region.setdefault(loc.region, []).append(loc)
     for region_id in sorted(regions):
-        locs = by_region.get(region_id, [])
-        if not locs:
+        sums = localities.get(region_id)
+        if sums is None:
             report.error("localities.csv", 0, f"region {region_id} has no localities")
             continue
-        mismatches = locality_sum_mismatches(regions[region_id],
-                                             sum(l.population for l in locs),
-                                             sum(l.area_km2 for l in locs))
+        mismatches = locality_sum_mismatches(regions[region_id], sums.population, sums.area_km2)
         for name, have, want, rel in mismatches:
             if rel > LOCALITY_SUM_TOLERANCE:
                 report.error("localities.csv", 0,
@@ -741,14 +753,16 @@ def report_from_summary(path: str | Path) -> "GapReport":
         vintage = data["vintage"]
         if type(vintage) is not int:  # not bool, float or string
             raise DataError(f"{path}: vintage must be a JSON integer, got {vintage!r}")
-        totals = {k: float(v) for k, v in data.get("totals_eur", {}).items()}
-        country_totals = {k: float(v) for k, v in data.get("country_totals_eur", {}).items()}
-        if not all(map(math.isfinite, [*totals.values(), *country_totals.values()])):
+        totals, country_totals = data.get("totals_eur", {}), data.get("country_totals_eur", {})
+        if not all(type(v) in (int, float) and math.isfinite(v)  # not bool or string
+                   for v in [*totals.values(), *country_totals.values()]):
             raise DataError(f"{path}: totals must be finite numbers")
         return GapReport(scenario=scenario, scenario_name=sc.get("name", "unknown"),
-                         vintage=vintage, cells=[], totals=totals,
-                         country_totals=country_totals, geotype_totals={}, regions=regions)
+                         vintage=vintage, cells=[],
+                         totals={k: float(v) for k, v in totals.items()},
+                         country_totals={k: float(v) for k, v in country_totals.items()},
+                         geotype_totals={}, regions=regions)
     except KeyError as err:
         raise DataError(f"{path}: gap summary lacks {err.args[0]!r}") from None
-    except (AttributeError, TypeError, ValueError) as err:
+    except (AttributeError, TypeError, ValueError, OverflowError) as err:
         raise DataError(f"{path}: malformed gap summary: {err}") from None

@@ -1,8 +1,8 @@
 """Socio-geographical reference frame.
 
-Regions are opened up into localities, localities are classified into
-five geotypes by degree of urbanisation and population density, and
-household / enterprise premises are distributed over the geotypes.
+Each region's localities arrive summed per geotype (classified by degree
+of urbanisation and population density), and household / enterprise
+premises are distributed over the five geotypes by those sums.
 All counts stay real-valued; rounding only happens when reports are
 written out.
 """
@@ -83,25 +83,29 @@ class FixedTechChoice(ModelEnum):
 COVERAGE_BAND_ORDER = ("<10", "10-25", "25-50", ">50")
 
 
+_NO_GEOTYPE_SUMS = dict.fromkeys(Geotype, 0.0)
+
+
 @dataclass(slots=True)
-class Locality:
-    """LAU2-level settlement with its degree-of-urbanisation label."""
+class LocalitySums:
+    """A region's LAU2 localities, summed in row order as they are read.
 
-    id: str
-    region: str
-    population: float
-    area_km2: float
-    degurba: Degurba
+    The model reads localities only through these sums: their count,
+    population and area totals, and population and area per geotype.
+    """
 
-    def __post_init__(self):
-        if self.area_km2 <= 0:
-            raise DataError(f"locality {self.id}: area must be positive, got {self.area_km2}")
-        if self.population < 0:
-            raise DataError(f"locality {self.id}: negative population {self.population}")
+    count: int = 0
+    population: float = 0.0
+    area_km2: float = 0.0
+    geotype_population: dict[Geotype, float] = field(default_factory=_NO_GEOTYPE_SUMS.copy)
+    geotype_area: dict[Geotype, float] = field(default_factory=_NO_GEOTYPE_SUMS.copy)
 
-    @property
-    def density(self) -> float:
-        return self.population / self.area_km2
+    def add(self, population: float, area_km2: float, geotype: Geotype) -> None:
+        self.count += 1
+        self.population += population
+        self.area_km2 += area_km2
+        self.geotype_population[geotype] += population
+        self.geotype_area[geotype] += area_km2
 
 
 @dataclass(slots=True)
@@ -199,52 +203,35 @@ class Premises:
         return self.households + self.enterprise_locations
 
 
-def classify_locality(locality: Locality) -> Geotype:
-    """Map a locality to its geotype.
+# classify runs once per locality row. Python 3.11's EnumType defines
+# __getattr__, which makes reading Geotype.RURAL slow, so it reads these.
+_LABELLED = {Degurba.URBAN: Geotype.URBAN, Degurba.SUBURBAN: Geotype.SUBURBAN, Degurba.RURAL: None}
+_SEMI_RURAL, _RURAL, _EXTREMELY_RURAL = GEOTYPES_DENSEST_FIRST[2:]
+
+
+def classify(degurba: Degurba, density: float) -> Geotype:
+    """Map a locality's degree of urbanisation and density to its geotype.
 
     Urban and suburban follow the degree-of-urbanisation label.  Rural
     localities are split by density: at least 100 inhabitants/km2 is
     semi rural, 10 to 100 rural, below 10 extremely rural.
     """
-    if locality.degurba is Degurba.URBAN:
-        return Geotype.URBAN
-    if locality.degurba is Degurba.SUBURBAN:
-        return Geotype.SUBURBAN
-    d = locality.density
-    if d >= SEMI_RURAL_MIN_DENSITY:
-        return Geotype.SEMI_RURAL
-    if d >= RURAL_MIN_DENSITY:
-        return Geotype.RURAL
-    return Geotype.EXTREMELY_RURAL
+    geotype = _LABELLED[degurba]
+    if geotype is not None:
+        return geotype
+    if density >= SEMI_RURAL_MIN_DENSITY:
+        return _SEMI_RURAL
+    if density >= RURAL_MIN_DENSITY:
+        return _RURAL
+    return _EXTREMELY_RURAL
 
 
-def decompose_region(region: Region, localities: list[Locality]) -> GeotypeProfile:
-    """Aggregate a region's localities into geotype shares.
-
-    Parameters
-    ----------
-    region : Region
-    localities : list of Locality
-        Must all belong to the region and be non-empty.
-
-    Returns
-    -------
-    GeotypeProfile with population, area and premises shares per
-    geotype. Premises follow population.
-    """
-    if not localities:
+def decompose_region(region: Region, localities: LocalitySums | None) -> GeotypeProfile:
+    """A region's population, area and premises shares per geotype, from its
+    locality sums. Premises follow population. No localities is a DataError."""
+    if localities is None or not localities.count:
         raise DataError(f"region {region.id}: no localities to decompose")
-    for loc in localities:
-        if loc.region != region.id:
-            raise DataError(f"locality {loc.id} does not belong to region {region.id}")
-
-    pop = {g: 0.0 for g in Geotype}
-    area = {g: 0.0 for g in Geotype}
-    for loc in localities:
-        g = classify_locality(loc)
-        pop[g] += loc.population
-        area[g] += loc.area_km2
-
+    pop, area = localities.geotype_population, localities.geotype_area
     total_pop = sum(pop.values())
     total_area = sum(area.values())
     # A mismatch within tolerance is warned about once, by dataio's cross-checks.
@@ -345,16 +332,12 @@ def build_frame(dataset) -> GeoFrame:
     regions = {r: replace(region) for r, region in dataset.regions.items()}
     allocate_enterprises(dataset.countries, regions, dataset.enterprises)
 
-    by_region: dict[str, list[Locality]] = {r: [] for r in regions}
-    for loc in dataset.localities:
-        by_region[loc.region].append(loc)
-
     profiles = {}
     premises = {}
     enterprises = {}
     for region_id in sorted(regions):
         region = regions[region_id]
-        profile = decompose_region(region, by_region[region_id])
+        profile = decompose_region(region, dataset.localities.get(region_id))
         profiles[region_id] = profile
         for g, prem in distribute_premises(region, profile).items():
             premises[(region_id, g)] = prem

@@ -18,8 +18,9 @@ from gigagap.geo import (
     Country,
     Degurba,
     FixedTechChoice,
-    Locality,
+    LocalitySums,
     Region,
+    classify,
 )
 
 VINTAGE = 2019
@@ -27,9 +28,9 @@ _CLASS_SHARES = (0.90, 0.05, 0.03, 0.015, 0.005)
 _PREP_STEPS = (-0.10, 0.0, 0.10)
 
 
-def _localities(rng: random.Random, region_id: str) -> list[Locality]:
-    out = []
-    for i in range(rng.randint(3, 6)):
+def _localities(rng: random.Random) -> LocalitySums:
+    out = LocalitySums()
+    for _ in range(rng.randint(3, 6)):
         kind = rng.random()
         if kind < 0.3:
             degurba, density = Degurba.URBAN, 10 ** rng.uniform(2.8, 3.8)
@@ -38,9 +39,8 @@ def _localities(rng: random.Random, region_id: str) -> list[Locality]:
         else:
             degurba, density = Degurba.RURAL, 10 ** rng.uniform(0.3, 2.5)
         population = rng.uniform(2_000, 400_000)
-        out.append(Locality(id=f"{region_id}_L{i}", region=region_id,
-                            population=population, area_km2=population / density,
-                            degurba=degurba))
+        area = population / density
+        out.add(population, area, classify(degurba, population / area))
     return out
 
 
@@ -48,7 +48,7 @@ def random_dataset(seed: int, n_countries: int = 3) -> Dataset:
     rng = random.Random(seed)
     countries: dict[str, Country] = {}
     regions: dict[str, Region] = {}
-    localities: list[Locality] = []
+    localities: dict[str, LocalitySums] = {}
     enterprises: dict[tuple[str, str], float] = {}
 
     total_enterprises = rng.uniform(4.2e6, 8.0e6)
@@ -60,12 +60,10 @@ def random_dataset(seed: int, n_countries: int = 3) -> Dataset:
         member_ids = []
         for ri in range(rng.randint(2, 4)):
             rid = f"{code}{ri:03d}"
-            locs = _localities(rng, rid)
-            localities.extend(locs)
-            population = sum(l.population for l in locs)
-            area = sum(l.area_km2 for l in locs)
+            sums = localities[rid] = _localities(rng)
+            population = sums.population
             regions[rid] = Region(id=rid, country=code, population=population,
-                                  area_km2=area,
+                                  area_km2=sums.area_km2,
                                   households=population * rng.uniform(0.38, 0.50))
             member_ids.append(rid)
 

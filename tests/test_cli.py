@@ -480,8 +480,14 @@ class TestCompare:
         '{"format": "gigagap-summary-v1", "vintage": Infinity}',
         '{"format": "gigagap-summary-v1", "vintage": 2021, "totals_eur": {"t1": NaN}}',
         '{"format": "gigagap-summary-v1", "vintage": 2021, "country_totals_eur": {"FR": Infinity}}',
+        '{"format": "gigagap-summary-v1", "vintage": 2021, "totals_eur": '
+        '{"egs_premises_companies": true}}',
+        '{"format": "gigagap-summary-v1", "vintage": 2021, "country_totals_eur": {"FR": false}}',
+        '{"format": "gigagap-summary-v1", "vintage": 2021, "totals_eur": {"t1": "12"}}',
+        '{"format": "gigagap-summary-v1", "vintage": 2021, "totals_eur": {"t1": 1' + "0" * 400 + '}}',
     ], ids=["truncated", "missing-key", "bad-total", "bad-enum", "not-an-object",
-            "bool-vintage", "infinite-vintage", "nan-total", "infinite-country-total"])
+            "bool-vintage", "infinite-vintage", "nan-total", "infinite-country-total",
+            "bool-total", "bool-country-total", "string-total", "huge-integer-total"])
     def test_malformed_summary_is_domain_error(self, baseline_out, tmp_path, content):
         bad = tmp_path / "bad.json"
         bad.write_text(content)

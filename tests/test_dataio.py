@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import oracle
 from gigagap import dataio
 from gigagap.coverage import TechClass
 from gigagap.errors import DataError, DatasetValidationError
@@ -74,6 +75,19 @@ class TestValidation:
                  lambda rows: rows + [["ZZ_L1", "ZZ999", "1000", "10", "rural"]])
         msgs = errors_for(broken_copy)
         assert any("ZZ999" in m for m in msgs)
+
+    def test_unknown_region_names_its_line(self, broken_copy):
+        def move(rows):
+            rows[2][1] = "ZZ999"
+            return rows
+        edit_csv(broken_copy / "localities.csv", move)
+        assert errors_for(broken_copy) == [
+            "ERROR localities.csv:3: locality FR101_L2 references unknown region ZZ999",
+            "ERROR localities.csv: region FR101: locality population sums to 1.2e+06 "
+            "but the region total is 2.2e+06 (45.5% off)",
+            "ERROR localities.csv: region FR101: locality area sums to 50 "
+            "but the region total is 105 (52.4% off)",
+        ]
 
     @pytest.mark.parametrize("filename", KEYED_FILES)
     def test_duplicate_region_id(self, broken_copy, filename):
@@ -323,6 +337,69 @@ class TestValidation:
     def test_missing_dataset_directory(self, tmp_path):
         _, report = dataio.validate_dataset(tmp_path / "nowhere")
         assert not report.ok
+
+
+_DEGURBA_ALIASES = {"1": "urban", "2": "suburban", "3": "rural"}
+
+
+def brute_force_fold(path) -> dict:
+    """region -> (count, population, area, {geotype: population}, {geotype: area})
+    of localities.csv, read with the csv module, classified by the oracle and
+    summed in row order."""
+    out = {}
+    with open(path / "localities.csv", newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            pop, area = float(row["population"]), float(row["area_km2"])
+            degurba = row["degurba"].strip().lower()
+            geotype = oracle.classify(pop, area, _DEGURBA_ALIASES.get(degurba, degurba))
+            count, total_pop, total_area, by_pop, by_area = out.get(row["region"]) or (
+                0, 0.0, 0.0, dict.fromkeys(oracle.GEOTYPES, 0.0),
+                dict.fromkeys(oracle.GEOTYPES, 0.0))
+            by_pop[geotype] += pop
+            by_area[geotype] += area
+            out[row["region"]] = (count + 1, total_pop + pop, total_area + area,
+                                  by_pop, by_area)
+    return out
+
+
+def folded(localities) -> dict:
+    """The loader's records in brute_force_fold's shape."""
+    return {region: (sums.count, sums.population, sums.area_km2,
+                     {g.value: v for g, v in sums.geotype_population.items()},
+                     {g.value: v for g, v in sums.geotype_area.items()})
+            for region, sums in localities.items()}
+
+
+class TestLocalityFold:
+    """The loader's per-region sums equal a brute-force fold exactly."""
+
+    def test_fixture(self, fixture_dir, dataset):
+        assert folded(dataset.localities) == brute_force_fold(fixture_dir)
+
+    def test_edge_rows(self, tmp_path):
+        (tmp_path / "localities.csv").write_text(
+            "id,region,population,area_km2,degurba\n"
+            "E1,R1,1000,10,rural\n"       # density exactly 100: semi rural
+            "E2,R1,100,10,rural\n"        # density exactly 10: rural
+            "E3,R1,0.1,1,1\n"             # the three urban rows sum in row order
+            "E4,R1,0.2,1,1\n"
+            "E5,R1,0.3,1,1\n"
+            "E6,R2,50,3,2\n"
+            "E7,R2,999,10,3\n"            # density 99.9: rural
+            "E8,R2,0,4,rural\n"           # zero population: extremely rural
+            "E9,R2,0,0.5,3\n")
+        report = dataio.ValidationReport(dataset=str(tmp_path))
+        localities = dataio._load_localities(tmp_path, report, {"R1", "R2"})
+        assert report.entries == []
+        assert folded(localities) == brute_force_fold(tmp_path)
+        r1, r2 = localities["R1"], localities["R2"]
+        assert r1.geotype_population[Geotype.SEMI_RURAL] == 1000.0
+        assert r1.geotype_population[Geotype.RURAL] == 100.0
+        assert r1.geotype_population[Geotype.URBAN] == (0.1 + 0.2) + 0.3
+        assert r2.geotype_population[Geotype.SUBURBAN] == 50.0
+        assert r2.geotype_population[Geotype.RURAL] == 999.0
+        assert r2.geotype_area[Geotype.EXTREMELY_RURAL] == 4.5
+        assert (r1.count, r2.count) == (5, 4)
 
 
 class TestBundledTables:

@@ -15,19 +15,31 @@ from gigagap.geo import (
     Degurba,
     FixedTechChoice,
     Geotype,
-    Locality,
+    LocalitySums,
     Region,
     allocate_enterprises,
     build_frame,
-    classify_locality,
+    classify,
     decompose_region,
     distribute_premises,
 )
 
 
-def loc(i, region="R1", pop=1000.0, area=10.0, degurba=Degurba.RURAL):
-    return Locality(id=f"L{i}", region=region, population=pop, area_km2=area,
-                    degurba=degurba)
+def locs(*rows):
+    """LocalitySums of (population, area, degurba) rows, classified and added in order."""
+    out = LocalitySums()
+    for pop, area, degurba in rows:
+        out.add(pop, area, classify(degurba, pop / area))
+    return out
+
+
+def load_localities(tmp_path, *rows):
+    """Errors and sums of a localities.csv holding rows, all in region R1."""
+    lines = ["id,region,population,area_km2,degurba", *(",".join(r) for r in rows)]
+    (tmp_path / "localities.csv").write_text("\n".join(lines) + "\n")
+    report = dataio.ValidationReport(dataset=str(tmp_path))
+    sums = dataio._load_localities(tmp_path, report, {"R1"})
+    return [str(e) for e in report.errors], sums
 
 
 def region(id="R1", country="XX", pop=10000.0, area=100.0, households=4000.0):
@@ -37,10 +49,10 @@ def region(id="R1", country="XX", pop=10000.0, area=100.0, households=4000.0):
 
 class TestClassify:
     def test_degurba_urban_wins_over_density(self):
-        assert classify_locality(loc(1, pop=10.0, area=100.0, degurba=Degurba.URBAN)) is Geotype.URBAN
+        assert classify(Degurba.URBAN, 10.0 / 100.0) is Geotype.URBAN
 
     def test_degurba_suburban(self):
-        assert classify_locality(loc(1, degurba=Degurba.SUBURBAN)) is Geotype.SUBURBAN
+        assert classify(Degurba.SUBURBAN, 1000.0 / 10.0) is Geotype.SUBURBAN
 
     @pytest.mark.parametrize("pop,area,expected", [
         (10_000, 100.0, Geotype.SEMI_RURAL),   # density 100, at threshold
@@ -50,80 +62,88 @@ class TestClassify:
         (1, 100.0, Geotype.EXTREMELY_RURAL),
     ])
     def test_rural_density_splits(self, pop, area, expected):
-        assert classify_locality(loc(1, pop=pop, area=area)) is expected
+        assert classify(Degurba.RURAL, pop / area) is expected
 
     @given(st.floats(min_value=0.0, max_value=1e7, allow_nan=False),
            st.floats(min_value=0.01, max_value=1e5, allow_nan=False))
     def test_rural_class_monotone_in_density(self, pop, area):
-        g = classify_locality(loc(1, pop=pop, area=area))
-        denser = classify_locality(loc(2, pop=pop * 2, area=area))
+        g = classify(Degurba.RURAL, pop / area)
+        denser = classify(Degurba.RURAL, pop * 2 / area)
         assert denser.order <= g.order
 
     def test_geotype_order_matches_densest_first(self):
         assert [g.order for g in GEOTYPES_DENSEST_FIRST] == [0, 1, 2, 3, 4]
 
-    def test_negative_population_rejected(self):
-        with pytest.raises(DataError):
-            loc(1, pop=-5.0)
+    def test_negative_population_rejected(self, tmp_path):
+        errors, sums = load_localities(tmp_path, ["L1", "R1", "-5.0", "10", "rural"],
+                                       ["L2", "R1", "1000", "10", "rural"])
+        assert errors == ["ERROR localities.csv:2: locality L1: negative population -5.0"]
+        assert sums["R1"].count == 1
 
-    def test_zero_area_rejected(self):
-        with pytest.raises(DataError):
-            loc(1, area=0.0)
+    def test_zero_area_rejected(self, tmp_path):
+        errors, sums = load_localities(tmp_path, ["L1", "R1", "1000", "0", "rural"])
+        assert errors == ["ERROR localities.csv:2: locality L1: area must be positive, got 0.0"]
+        assert sums == {}
 
 
 class TestDecompose:
     def test_shares_sum_to_one(self):
         r = region(pop=3000.0, area=30.0)
-        locs = [loc(1, pop=1000.0, area=1.0, degurba=Degurba.URBAN),
-                loc(2, pop=1000.0, area=9.0, degurba=Degurba.SUBURBAN),
-                loc(3, pop=1000.0, area=20.0, degurba=Degurba.RURAL)]
-        p = decompose_region(r, locs)
+        sums = locs((1000.0, 1.0, Degurba.URBAN),
+                    (1000.0, 9.0, Degurba.SUBURBAN),
+                    (1000.0, 20.0, Degurba.RURAL))
+        p = decompose_region(r, sums)
         assert sum(p.population_share.values()) == pytest.approx(1.0, abs=1e-12)
         assert sum(p.area_share.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_premises_share_tracks_population_share(self):
         r = region(pop=3000.0, area=30.0)
-        locs = [loc(1, pop=2500.0, area=5.0, degurba=Degurba.URBAN),
-                loc(2, pop=500.0, area=25.0, degurba=Degurba.RURAL)]
-        p = decompose_region(r, locs)
+        sums = locs((2500.0, 5.0, Degurba.URBAN),
+                    (500.0, 25.0, Degurba.RURAL))
+        p = decompose_region(r, sums)
         assert p.premises_share == p.population_share
 
     def test_large_population_mismatch_rejected(self):
         r = region(pop=10000.0, area=100.0)
-        locs = [loc(1, pop=7000.0, area=100.0)]
+        sums = locs((7000.0, 100.0, Degurba.RURAL))
         with pytest.raises(DataError):
-            decompose_region(r, locs)
+            decompose_region(r, sums)
 
     def test_small_mismatch_tolerated(self):
         r = region(pop=10000.0, area=100.0)
-        locs = [loc(1, pop=10150.0, area=100.0)]
-        p = decompose_region(r, locs)
+        sums = locs((10150.0, 100.0, Degurba.RURAL))
+        p = decompose_region(r, sums)
         assert sum(p.population_share.values()) == pytest.approx(1.0)
 
     def test_zero_population_region_keeps_zero_shares(self):
         r = region(pop=0.0, area=100.0, households=0.0)
-        locs = [loc(1, pop=0.0, area=100.0)]
-        p = decompose_region(r, locs)
+        sums = locs((0.0, 100.0, Degurba.RURAL))
+        p = decompose_region(r, sums)
         assert all(v == 0.0 for v in p.population_share.values())
         assert sum(p.area_share.values()) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("sums", [None, LocalitySums()], ids=["absent", "empty"])
+    def test_region_without_localities_rejected(self, sums):
+        with pytest.raises(DataError, match="region R1: no localities to decompose"):
+            decompose_region(region(), sums)
 
 
 class TestPremises:
     def test_distribution_conserves_households(self):
         r = region(pop=3000.0, area=30.0, households=1200.0)
         r.enterprise_counts = {sc: 0.0 for sc in SIZE_CLASSES}
-        locs = [loc(1, pop=1000.0, area=1.0, degurba=Degurba.URBAN),
-                loc(2, pop=2000.0, area=29.0, degurba=Degurba.RURAL)]
-        prem = distribute_premises(r, decompose_region(r, locs))
+        sums = locs((1000.0, 1.0, Degurba.URBAN),
+                    (2000.0, 29.0, Degurba.RURAL))
+        prem = distribute_premises(r, decompose_region(r, sums))
         assert sum(p.households for p in prem.values()) == pytest.approx(1200.0, rel=1e-12)
 
     def test_distribution_conserves_enterprise_locations(self):
         r = region(pop=3000.0, area=30.0, households=1200.0)
         r.enterprise_counts = {"0-9": 90.0, "10-19": 6.0, "20-49": 3.0,
                                "50-249": 0.9, "250+": 0.1}
-        locs = [loc(1, pop=1800.0, area=2.0, degurba=Degurba.URBAN),
-                loc(2, pop=1200.0, area=28.0, degurba=Degurba.RURAL)]
-        prem = distribute_premises(r, decompose_region(r, locs))
+        sums = locs((1800.0, 2.0, Degurba.URBAN),
+                    (1200.0, 28.0, Degurba.RURAL))
+        prem = distribute_premises(r, decompose_region(r, sums))
         assert sum(p.enterprise_locations for p in prem.values()) == pytest.approx(100.0, rel=1e-12)
 
 

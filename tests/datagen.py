@@ -7,7 +7,10 @@ keep a realistic small-company-dominated mix and a large base, so the
 capped scenario always selects a proper subset.
 """
 
+import csv
 import random
+from enum import Enum
+from pathlib import Path
 
 from gigagap.coverage import PUBLISHED_BANDS, CoverageInterval, NationalFigure, TechClass
 from gigagap.costs import PreparednessFactor
@@ -18,6 +21,7 @@ from gigagap.geo import (
     Country,
     Degurba,
     FixedTechChoice,
+    Geotype,
     LocalitySums,
     Region,
     classify,
@@ -137,3 +141,65 @@ def _feasible_coverage(rng, countries, regions, enterprises):
             national.append(NationalFigure(country=code, technology=tech,
                                            coverage=figure, vintage=VINTAGE))
     return intervals, national
+
+
+# The degurba label written for a geotype's summed localities.
+_LABELS = {Geotype.URBAN: "urban", Geotype.SUBURBAN: "suburban"}
+
+
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, Enum):
+        return value.value
+    return "" if value is None else str(value)
+
+
+def write_dataset(ds: Dataset, path) -> None:
+    """Write a dataset as its nine CSV files, floats as repr.
+
+    Each region gets one locality row per non-empty geotype, holding that
+    geotype's summed population and area. The sums keep their class: a
+    class's joint density lies inside its members' density band."""
+    localities = [(f"{rid}_{g.value}", rid, sums.geotype_population[g], sums.geotype_area[g],
+                   _LABELS.get(g, "rural"))
+                  for rid, sums in ds.localities.items() for g in Geotype
+                  if sums.geotype_area[g] > 0]
+    tables = {
+        "regions.csv": (("id", "country", "population", "area_km2", "households"),
+                        [(r.id, r.country, r.population, r.area_km2, r.households)
+                         for r in ds.regions.values()]),
+        "localities.csv": (("id", "region", "population", "area_km2", "degurba"), localities),
+        "countries.csv": (
+            ("code", "labour_index", "prep_geo", "prep_housing", "prep_regulation",
+             "dominant_fixed_tech", "road_km", "rail_km", "capital_region", "docsis_band",
+             "fttp_band"),
+            [(c.code, c.labour_index, c.preparedness.geographic, c.preparedness.housing,
+              c.preparedness.regulation, c.dominant_fixed_tech, c.road_km, c.rail_km,
+              c.capital_region, c.docsis_band, c.fttp_band) for c in ds.countries.values()]),
+        "enterprises.csv": (("country", "size_class", "count"),
+                            [(code, sc, n) for (code, sc), n in ds.enterprises.items()]),
+        "coverage_intervals.csv": (
+            ("region", "technology", "band_low", "band_high", "vintage"),
+            [(iv.region, iv.technology, iv.low, iv.high, iv.vintage)
+             for iv in ds.coverage_intervals]),
+        "coverage_national.csv": (
+            ("country", "technology", "coverage", "vintage"),
+            [(nf.country, nf.technology, nf.coverage, nf.vintage)
+             for nf in ds.coverage_national]),
+        "cost_references.csv": (
+            ("action", "geotype", "granularity", "value_eur", "price_year", "source_id"),
+            [(r.action, r.geotype, r.granularity, r.value_eur, r.price_year, r.source)
+             for r in ds.cost_references]),
+        "price_index.csv": (("year", "multiplier"), list(ds.price_index.items())),
+        "cohesion.csv": (("region", "is_cohesion"), list(ds.cohesion.items())),
+    }
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        with open(path / name, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([_text(v) for v in row] for row in rows)

@@ -19,6 +19,7 @@ from gigagap.costs import (
     apply_sharing,
 )
 from gigagap.coverage import CapabilityTier, CoverageState, TechClass, effective_footprint
+from gigagap.dataio import validate_dataset
 from gigagap.errors import DataError
 from gigagap.gap import (
     GapCell,
@@ -53,7 +54,7 @@ from gigagap.targets import (
 )
 
 import oracle
-from datagen import random_dataset
+from datagen import random_dataset, write_dataset
 
 BASELINE = SCENARIO_PRESETS["baseline"]
 URBAN = Geotype.URBAN
@@ -339,6 +340,21 @@ class TestRunScenario:
         bare = PreparedInputs(frame=prepared.frame, state=prepared.state,
                               table=prepared.table)
         assert run_scenario(dataset, BASELINE, prepared=bare).regions == fresh.regions
+
+
+class TestRandomDatasetsOnDisk:
+    """A random dataset written as its CSV files validates cleanly, and
+    every preset's totals on it match the oracle's, read from those files."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_totals_match_independent_oracle(self, tmp_path, seed):
+        write_dataset(random_dataset(seed), tmp_path)
+        data, report = validate_dataset(tmp_path)
+        assert report.errors == [], seed
+        for name in ("baseline", "max", "min"):
+            got = run_scenario(data, SCENARIO_PRESETS[name]).totals
+            for key, value in oracle.compute_totals(str(tmp_path), name).items():
+                assert got[key] == pytest.approx(value, rel=1e-6), (seed, name, key)
 
 
 def netting_key(cell):

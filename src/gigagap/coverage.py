@@ -43,26 +43,6 @@ class TechClass(ModelEnum):
     FIVE_G = "FIVE_G"
 
 
-class CapabilityTier(ModelEnum):
-    """Service levels a demand can ask for."""
-
-    MBPS_100 = "100mbps"
-    GBPS_1 = "1gbps"
-    FIVE_G = "5g"
-
-
-# Technologies that satisfy each tier. LTE joins the 100 Mbps tier only
-# in the extremely rural geotype.
-_TIER_TECHS = {
-    CapabilityTier.MBPS_100: frozenset({
-        TechClass.FTTH_100M, TechClass.FTTH_1G, TechClass.FTTB,
-        TechClass.FTTC_ADV_DSL, TechClass.DOCSIS_30, TechClass.DOCSIS_31,
-    }),
-    CapabilityTier.GBPS_1: frozenset({TechClass.FTTH_1G, TechClass.DOCSIS_31}),
-    CapabilityTier.FIVE_G: frozenset({TechClass.FIVE_G}),
-}
-
-
 @dataclass(slots=True)
 class CoverageInterval:
     """Band constraint on one region's coverage for one technology."""
@@ -124,18 +104,6 @@ class CoverageState:
         """Best coverage over a set of technologies (0 when none present)."""
         entries = self.entries
         return max((entries.get((region, geotype, t), 0.0) for t in techs), default=0.0)
-
-
-def effective_footprint(state: CoverageState, region: str, geotype: Geotype,
-                        tier: CapabilityTier) -> float:
-    """Maximum existing coverage over all technologies that satisfy the
-    capability tier in the given geotype."""
-    if not isinstance(tier, CapabilityTier):
-        raise DataError(f"unknown capability tier: {tier!r}")
-    techs = set(_TIER_TECHS[tier])
-    if tier is CapabilityTier.MBPS_100 and geotype is Geotype.EXTREMELY_RURAL:
-        techs.add(TechClass.LTE)
-    return state.footprint_over(region, geotype, techs)
 
 
 def disaggregate_regions(intervals: dict[str, CoverageInterval],
@@ -212,12 +180,13 @@ def disaggregate_regions(intervals: dict[str, CoverageInterval],
 
 
 def spread_over_geotypes(region_coverage: float,
-                         premises_share: dict[Geotype, float]) -> dict[Geotype, float]:
+                         shares: dict[Geotype, float]) -> dict[Geotype, float]:
     """Spread a region-level coverage share over geotypes, filling the
     densest geotype first (market deployments saturate cities before
     moving outward).
 
-    The premises-weighted mean of the per-geotype values reproduces the
+    shares are the geotypes' shares of the region's premises; the
+    mean of the per-geotype values weighted by them reproduces the
     region figure.
     """
     if not 0.0 <= region_coverage <= 1.0 + 1e-12:
@@ -226,7 +195,7 @@ def spread_over_geotypes(region_coverage: float,
     out = {}
     cum = 0.0
     for g in GEOTYPES_DENSEST_FIRST:
-        share = premises_share.get(g, 0.0)
+        share = shares.get(g, 0.0)
         if share > 0:
             out[g] = min(1.0, max(0.0, (region_coverage - cum) / share))
         else:
@@ -254,15 +223,12 @@ def build_state(dataset, frame: GeoFrame, relax_intervals: float = 0.0) -> Cover
     national = {(nf.country, nf.technology): nf for nf in dataset.coverage_national}
 
     # Per-region inputs do not depend on the technology: derive them once.
-    members: dict[str, list[str]] = {}
-    for region_id in sorted(frame.regions):
-        members.setdefault(frame.regions[region_id].country, []).append(region_id)
     densities = {r: region.density for r, region in frame.regions.items()}
     weights = {r: frame.region_premises(r) for r in frame.regions}
 
     for (country, tech) in sorted(by_pair, key=lambda p: (p[0], p[1].value)):
         intervals = by_pair[(country, tech)]
-        missing = [r for r in members[country] if r not in intervals]
+        missing = [r for r in frame.country_regions[country] if r not in intervals]
         if missing:
             raise DataError(
                 f"coverage intervals for {country}/{tech.value} missing regions: "
@@ -279,7 +245,7 @@ def build_state(dataset, frame: GeoFrame, relax_intervals: float = 0.0) -> Cover
                 feasible_low=err.feasible_low, feasible_high=err.feasible_high,
             ) from None
         for region_id in sorted(points):
-            share = frame.profiles[region_id].premises_share
+            share = frame.profiles[region_id].population_share
             for g, value in spread_over_geotypes(points[region_id], share).items():
                 state.entries[(region_id, g, tech)] = value
     return state

@@ -23,9 +23,8 @@ from typing import TYPE_CHECKING
 from .costs import CostAction, CostReference, Granularity, PreparednessFactor
 from .coverage import (PUBLISHED_BANDS, CoverageInterval, NationalFigure, TechClass)
 from .errors import DataError, DatasetValidationError
-from .geo import (_GEOTYPE_ORDER, LOCALITY_SUM_TOLERANCE, SIZE_CLASSES, Country, Degurba,
-                  FixedTechChoice, Geotype, LocalitySums, Region, classify,
-                  locality_sum_mismatches)
+from .geo import (_GEOTYPE_ORDER, SIZE_CLASSES, Country, Degurba, FixedTechChoice, Geotype,
+                  LocalitySums, Region, classify, locality_sum_verdicts)
 from .targets import _FLAG_TEXT, Target, Unit
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -103,7 +102,8 @@ class Dataset:
     Read-only once loaded. gap.prepare_inputs caches in `store`, while the
     dataset lives: ("base", relax) -> frame, coverage state and region
     summaries; ("cells", relax, cost ranking) -> {stage key: sorted cells
-    as first priced}. dataclasses.replace makes a variant with an empty store.
+    as first priced; run key: its netting order}. dataclasses.replace makes
+    a variant with an empty store.
     """
 
     path: Path | None
@@ -264,8 +264,8 @@ def validate_dataset(path: str | Path) -> tuple[Dataset | None, ValidationReport
     localities = _load_localities(path, report, regions)
     countries = _load_countries(path, report)
     enterprises = _load_enterprises(path, report)
-    intervals = _load_intervals(path, report)
-    national = _load_national(path, report)
+    intervals = _load_intervals(path, report, regions)
+    national = _load_national(path, report, countries)
     cost_refs = _load_cost_references(path, report)
     price_index = _load_price_index(path, report)
     cohesion = _load_cohesion(path, report)
@@ -397,7 +397,8 @@ def _load_enterprises(path, report) -> dict[tuple[str, str], float]:
     return dict(value for _, value in rows)
 
 
-def _load_intervals(path, report) -> list[CoverageInterval]:
+def _load_intervals(path, report, regions) -> list[CoverageInterval]:
+    """The intervals of known regions."""
     def parse(region, technology, band_low, band_high, vintage):
         return CoverageInterval(
             region.strip(), _parse_enum(technology.strip(), TechClass, "technology"),
@@ -409,6 +410,10 @@ def _load_intervals(path, report) -> list[CoverageInterval]:
     for lineno, iv in _parsed_rows(path, report, "coverage_intervals.csv", cols, parse,
                                    attrgetter("region", "technology"),
                                    "interval for {0.region}/{0.technology.value}"):
+        if iv.region not in regions:
+            report.error("coverage_intervals.csv", lineno,
+                         f"interval references unknown region {iv.region}")
+            continue
         if all(abs(iv.low - lo) > 1e-9 or abs(iv.high - hi) > 1e-9
                for lo, hi in PUBLISHED_BANDS):
             report.warning("coverage_intervals.csv", lineno,
@@ -417,17 +422,24 @@ def _load_intervals(path, report) -> list[CoverageInterval]:
     return out
 
 
-def _load_national(path, report) -> list[NationalFigure]:
+def _load_national(path, report, countries) -> list[NationalFigure]:
+    """The national figures of known countries."""
     def parse(country, technology, coverage, vintage):
         return NationalFigure(
             country.strip(), _parse_enum(technology.strip(), TechClass, "technology"),
             _parse_float(coverage, "coverage"), _parse_int(vintage, "vintage"))
 
+    out = []
     cols = ("country", "technology", "coverage", "vintage")
-    return [nf for _, nf in _parsed_rows(
-        path, report, "coverage_national.csv", cols, parse,
-        attrgetter("country", "technology"),
-        "national figure for {0.country}/{0.technology.value}")]
+    for lineno, nf in _parsed_rows(path, report, "coverage_national.csv", cols, parse,
+                                   attrgetter("country", "technology"),
+                                   "national figure for {0.country}/{0.technology.value}"):
+        if nf.country not in countries:
+            report.error("coverage_national.csv", lineno,
+                         f"national figure references unknown country {nf.country}")
+            continue
+        out.append(nf)
+    return out
 
 
 def _load_cost_references(path, report) -> list[CostReference]:
@@ -480,15 +492,8 @@ def _cross_checks(report, regions, localities, countries, enterprises,
         if sums is None:
             report.error("localities.csv", 0, f"region {region_id} has no localities")
             continue
-        mismatches = locality_sum_mismatches(regions[region_id], sums.population, sums.area_km2)
-        for name, have, want, rel in mismatches:
-            if rel > LOCALITY_SUM_TOLERANCE:
-                report.error("localities.csv", 0,
-                             f"region {region_id}: locality {name} sums to {have:.6g} "
-                             f"but the region total is {want:.6g} ({rel:.1%} off)")
-            else:
-                report.warning("localities.csv", 0,
-                               f"region {region_id}: locality {name} off by {rel:.2%}")
+        for fatal, message in locality_sum_verdicts(regions[region_id], sums):
+            (report.error if fatal else report.warning)("localities.csv", 0, message)
 
     for code in sorted(countries):
         country = countries[code]
@@ -506,22 +511,11 @@ def _cross_checks(report, regions, localities, countries, enterprises,
             report.error("enterprises.csv", 0,
                          f"enterprise counts reference unknown country {country}")
 
-    region_country = {r.id: r.country for r in regions.values()}
     pairs_with_intervals: dict[tuple[str, TechClass], set[str]] = {}
     for iv in intervals:
-        if iv.region not in regions:
-            report.error("coverage_intervals.csv", 0,
-                         f"interval references unknown region {iv.region}")
-            continue
         pairs_with_intervals.setdefault(
-            (region_country[iv.region], iv.technology), set()).add(iv.region)
-    national_pairs = set()
-    for nf in national:
-        if nf.country not in countries:
-            report.error("coverage_national.csv", 0,
-                         f"national figure references unknown country {nf.country}")
-            continue
-        national_pairs.add((nf.country, nf.technology))
+            (regions[iv.region].country, iv.technology), set()).add(iv.region)
+    national_pairs = {(nf.country, nf.technology) for nf in national}
 
     for pair in sorted(pairs_with_intervals, key=lambda p: (p[0], p[1].value)):
         country, tech = pair

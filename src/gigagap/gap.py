@@ -22,7 +22,7 @@ from . import coverage as cov
 from . import geo
 from . import targets as tg
 from .costs import _WIRELESS_ACTIONS, TRANSPORT_ACTIONS, CostAction, CostTable, check_sharing
-from .coverage import CapabilityTier, CoverageState, TechClass
+from .coverage import CoverageState, TechClass
 from .errors import CostTableError, DataError
 from .geo import _GEOTYPE_ORDER, GeoFrame, Geotype
 from .targets import DemandItem, Scenario, Target, Unit
@@ -51,7 +51,7 @@ _NO_ROUTES: dict = {}
 # every item, so none of them may be mutated.
 _FIVE_G_ONLY = frozenset({TechClass.FIVE_G})
 _FTTH_1G_ONLY = frozenset({TechClass.FTTH_1G})
-_GIGABIT = cov._TIER_TECHS[CapabilityTier.GBPS_1]
+_GIGABIT = frozenset({TechClass.FTTH_1G, TechClass.DOCSIS_31})
 _GIGABIT_OR_5G = _GIGABIT | _FIVE_G_ONLY
 
 
@@ -406,10 +406,9 @@ def compose_egs(standalone: dict[Target, Sequence[GapCell]],
 
 
 def _derive(standalone: dict, t3_composed: Sequence[GapCell] | None, cells: list[GapCell],
-            frame: GeoFrame, regions: dict[str, RegionSummary], order: tuple) -> tuple:
-    """A run's totals, country and geotype totals and netting pools, each
-    total summed in cell order; t3_composed is None if not composed, and
-    order is _netting_order(cells)."""
+            frame: GeoFrame, regions: dict[str, RegionSummary]) -> tuple:
+    """A run's totals, country and geotype totals and run total, each
+    summed in cell order; t3_composed is None if not composed."""
     totals = {_TOTAL_KEYS[t]: _total(target_cells) for t, target_cells in standalone.items()}
     if t3_composed is not None:
         totals["t2_after_t1"] = (_total(c for c in cells if c.target is Target.T2_URBAN)
@@ -423,11 +422,11 @@ def _derive(standalone: dict, t3_composed: Sequence[GapCell] | None, cells: list
     for c in cells:
         country_totals[frame.regions[c.region].country] += c.investment_eur
         geotype_totals[c.geotype] += c.investment_eur
-    pools = _netting_pools(cells, order)
-    if not math.isfinite(pools[2]):
-        raise DataError(f"the run's total investment overflows to {pools[2]}: some "
+    total = _total(cells)
+    if not math.isfinite(total):
+        raise DataError(f"the run's total investment overflows to {total}: some "
                         "quantity times its unit cost is too large for a float")
-    return totals, country_totals, geotype_totals, pools
+    return totals, country_totals, geotype_totals, total
 
 
 def _households_total(cells: list[GapCell], regions: dict[str, RegionSummary]) -> float:
@@ -456,13 +455,13 @@ class PreparedInputs:
     once prepared, as every report run from these inputs shares them and
     the cells in store. store, while these inputs live: PRICED_KEYS stage
     key -> its sorted cells at this table; ("run", a run's stage keys) ->
-    _derive's totals and the netting pools gathered by shared's order.
-    shared, for every table that ranks alike: stage key -> sorted cells as
-    first priced; ("run", stage keys) -> _netting_order of the run's
-    composed cells. prepare_inputs makes it the dataset's ("cells", relax,
-    cost_ranking) entry. options: those prepare_inputs used. Inputs built
-    or replaced by hand (with dataclasses.replace too) start with empty,
-    private store and shared.
+    _derive's totals and the run total. shared, for every table that ranks
+    alike: stage key -> sorted cells as first priced; ("run", stage keys)
+    -> _netting_order of the run's composed cells, two index arrays that
+    netting walks in the report's cells. prepare_inputs makes it the
+    dataset's ("cells", relax, cost_ranking) entry. options: those
+    prepare_inputs used. Inputs built or replaced by hand (with
+    dataclasses.replace too) start with empty, private store and shared.
     """
 
     frame: GeoFrame
@@ -537,9 +536,8 @@ def run_scenario(dataset, scenario: Scenario, options: RunOptions | None = None,
     if ("run", keys) not in prepared.store:
         if ("run", keys) not in prepared.shared:
             prepared.shared["run", keys] = _netting_order(cells)
-        prepared.store["run", keys] = _derive(standalone, t3_composed, cells, frame, regions,
-                                              prepared.shared["run", keys])
-    totals, country_totals, geotype_totals, pools = prepared.store["run", keys]
+        prepared.store["run", keys] = _derive(standalone, t3_composed, cells, frame, regions)
+    totals, country_totals, geotype_totals, total = prepared.store["run", keys]
 
     report = GapReport(
         scenario=scenario, scenario_name=scenario_name, vintage=dataset.vintage,
@@ -548,7 +546,7 @@ def run_scenario(dataset, scenario: Scenario, options: RunOptions | None = None,
     )
     if operator is None:
         return report
-    return subtract_operator_investment(report, operator, pools)
+    return subtract_operator_investment(report, operator, (*prepared.shared["run", keys], total))
 
 
 def _region_summaries(dataset, frame: GeoFrame, state: CoverageState) -> dict[str, RegionSummary]:
@@ -560,7 +558,7 @@ def _region_summaries(dataset, frame: GeoFrame, state: CoverageState) -> dict[st
         for g in Geotype:
             premises = frame.premises[(region_id, g)].total
             total += premises
-            footprint = cov.effective_footprint(state, region_id, g, CapabilityTier.GBPS_1)
+            footprint = state.footprint_over(region_id, g, _GIGABIT)
             to_cover += premises * (1.0 - footprint)
         out[region_id] = RegionSummary(
             region=region_id, country=region.country,
@@ -581,37 +579,35 @@ def _netting_order(cells: Sequence[GapCell]) -> tuple[array, array]:
             array("I", [i for i in order if cells[i].action in _WIRELESS_ACTIONS]))
 
 
-def _netting_pools(cells: Sequence[GapCell], order: tuple[array, array]) -> tuple:
-    """The fixed and the wireless cells, each a tuple in netting order, and
-    the total of all cells."""
-    return (*(tuple(map(cells.__getitem__, indices)) for indices in order), _total(cells))
-
-
 def subtract_operator_investment(report: GapReport, operator: OperatorInvestment,
                                  pools: tuple | None = None) -> GapReport:
     """Consume expected operator investment from the cheapest units up.
 
     Fixed-network capex can only pay for fixed cells, wireless capex
     for 5G cells. The marginal cell is consumed partially and exactly.
-    pools: _netting_pools(report.cells, ...), which run_scenario keeps in
-    PreparedInputs.store; None sorts report.cells here.
+    pools: _netting_order(report.cells)'s two index arrays and the total
+    of report.cells, as run_scenario keeps them; None sorts and sums
+    report.cells here.
     """
-    def consume(order: tuple[GapCell, ...], pool: float) -> tuple[float, dict[str, float]]:
+    cells = report.cells
+
+    def consume(order: array, pool: float) -> tuple[float, dict[str, float]]:
         left = pool
         used_by_region: dict[str, float] = {}
-        for cell in order:
+        for i in order:
             if left <= 0:
                 break
+            cell = cells[i]
             take = cell.investment_eur if cell.investment_eur < left else left
             used_by_region[cell.region] = used_by_region.get(cell.region, 0.0) + take
             left -= take
         return pool - left, used_by_region
 
     if pools is None:
-        pools = _netting_pools(report.cells, _netting_order(report.cells))
-    fixed_cells, wireless_cells, total = pools
-    fixed_used, fixed_by_region = consume(fixed_cells, operator.fixed_pool_eur)
-    wireless_used, wl_by_region = consume(wireless_cells, operator.wireless_pool_eur)
+        pools = (*_netting_order(cells), _total(cells))
+    fixed_order, wireless_order, total = pools
+    fixed_used, fixed_by_region = consume(fixed_order, operator.fixed_pool_eur)
+    wireless_used, wl_by_region = consume(wireless_order, operator.wireless_pool_eur)
 
     used_by_country: dict[str, float] = {}
     for by_region in (fixed_by_region, wl_by_region):

@@ -175,16 +175,17 @@ class Country:
 
 @dataclass(slots=True)
 class GeotypeProfile:
-    """Share of a region's population, area and premises per geotype.
+    """Share of a region's population and area per geotype.
 
-    Shares sum to one except for the degenerate zero-population region,
-    which keeps all-zero population and premises shares.
+    Premises follow population: population_share is also each geotype's
+    share of the region's households and enterprise locations. Shares sum
+    to one except for the degenerate zero-population region, which keeps
+    all-zero population shares.
     """
 
     region: str
     population_share: dict[Geotype, float]
     area_share: dict[Geotype, float]
-    premises_share: dict[Geotype, float]
 
 
 @dataclass(slots=True)
@@ -226,44 +227,39 @@ def classify(degurba: Degurba, density: float) -> Geotype:
     return _EXTREMELY_RURAL
 
 
+def locality_sum_verdicts(region: Region, localities: LocalitySums):
+    """(fatal, message) for population and for area wherever the region's
+    localities, summed in row order, stray from the region total by more
+    than rounding: fatal past LOCALITY_SUM_TOLERANCE, else a warning."""
+    for name, have, want in (("population", localities.population, region.population),
+                             ("area", localities.area_km2, region.area_km2)):
+        rel = abs(have - want) / abs(want) if want else 0.0
+        if rel > LOCALITY_SUM_TOLERANCE:
+            yield True, (f"region {region.id}: locality {name} sums to {have:.6g} "
+                         f"but the region total is {want:.6g} ({rel:.1%} off)")
+        elif rel > 1e-9:
+            yield False, f"region {region.id}: locality {name} off by {rel:.2%}"
+
+
 def decompose_region(region: Region, localities: LocalitySums | None) -> GeotypeProfile:
-    """A region's population, area and premises shares per geotype, from its
-    locality sums. Premises follow population. No localities is a DataError."""
+    """A region's population and area shares per geotype, from its locality
+    sums. No localities, or a fatal locality_sum_verdicts, is a DataError."""
     if localities is None or not localities.count:
         raise DataError(f"region {region.id}: no localities to decompose")
+    # A mismatch within tolerance is warned about once, by dataio's cross-checks.
+    for fatal, message in locality_sum_verdicts(region, localities):
+        if fatal:
+            raise DataError(message)
+
     pop, area = localities.geotype_population, localities.geotype_area
     total_pop = sum(pop.values())
     total_area = sum(area.values())
-    # A mismatch within tolerance is warned about once, by dataio's cross-checks.
-    for name, have, want, rel in locality_sum_mismatches(region, total_pop, total_area):
-        if rel > LOCALITY_SUM_TOLERANCE:
-            raise DataError(
-                f"region {region.id}: locality {name} sums to {have:.6g}, "
-                f"region total is {want:.6g} (off by {rel:.1%}, "
-                f"tolerance {LOCALITY_SUM_TOLERANCE:.0%})"
-            )
-
     if total_pop > 0:
         pop_share = {g: pop[g] / total_pop for g in Geotype}
     else:
         pop_share = {g: 0.0 for g in Geotype}
     area_share = {g: area[g] / total_area for g in Geotype}
-    return GeotypeProfile(
-        region=region.id,
-        population_share=pop_share,
-        area_share=area_share,
-        premises_share=dict(pop_share),
-    )
-
-
-def locality_sum_mismatches(region: Region, loc_pop: float, loc_area: float):
-    """(name, localities' sum, region total, relative gap) for population
-    and area wherever the two differ by more than rounding."""
-    for name, have, want in (("population", loc_pop, region.population),
-                             ("area", loc_area, region.area_km2)):
-        rel = abs(have - want) / abs(want) if want else 0.0
-        if rel > 1e-9:
-            yield name, have, want, rel
+    return GeotypeProfile(region=region.id, population_share=pop_share, area_share=area_share)
 
 
 def distribute_premises(region: Region, profile: GeotypeProfile) -> dict[Geotype, Premises]:
@@ -272,7 +268,7 @@ def distribute_premises(region: Region, profile: GeotypeProfile) -> dict[Geotype
     locations = region.enterprise_locations
     out = {}
     for g in Geotype:
-        share = profile.premises_share[g]
+        share = profile.population_share[g]
         out[g] = Premises(
             households=region.households * share,
             enterprise_locations=locations * share,
@@ -307,11 +303,14 @@ class GeoFrame:
     """Prepared socio-geographical inputs for one dataset.
 
     Everything downstream (coverage weights, demand quantities) reads
-    from here rather than re-deriving shares.
+    from here rather than re-deriving shares. country_regions is each
+    country's member region ids, sorted; a country without regions has
+    no entry.
     """
 
     countries: dict[str, Country]
     regions: dict[str, Region]
+    country_regions: dict[str, list[str]]
     profiles: dict[str, GeotypeProfile]
     premises: dict[tuple[str, Geotype], Premises]
     # selected-enterprise bookkeeping needs per-class counts per cell
@@ -319,9 +318,6 @@ class GeoFrame:
 
     def region_premises(self, region_id: str) -> float:
         return sum(self.premises[(region_id, g)].total for g in Geotype)
-
-    def country_regions(self, code: str) -> list[str]:
-        return sorted(r for r, reg in self.regions.items() if reg.country == code)
 
 
 def build_frame(dataset) -> GeoFrame:
@@ -332,22 +328,25 @@ def build_frame(dataset) -> GeoFrame:
     regions = {r: replace(region) for r, region in dataset.regions.items()}
     allocate_enterprises(dataset.countries, regions, dataset.enterprises)
 
+    country_regions: dict[str, list[str]] = {}
     profiles = {}
     premises = {}
     enterprises = {}
     for region_id in sorted(regions):
         region = regions[region_id]
+        country_regions.setdefault(region.country, []).append(region_id)
         profile = decompose_region(region, dataset.localities.get(region_id))
         profiles[region_id] = profile
         for g, prem in distribute_premises(region, profile).items():
             premises[(region_id, g)] = prem
             for sc in SIZE_CLASSES:
                 enterprises[(region_id, g, sc)] = (
-                    region.enterprise_counts.get(sc, 0.0) * profile.premises_share[g]
+                    region.enterprise_counts.get(sc, 0.0) * profile.population_share[g]
                 )
     return GeoFrame(
         countries=dataset.countries,
         regions=regions,
+        country_regions=country_regions,
         profiles=profiles,
         premises=premises,
         enterprises=enterprises,

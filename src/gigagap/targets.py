@@ -247,9 +247,7 @@ def demand_t2(frame: GeoFrame, scenario: Scenario) -> list[DemandItem]:
     corridors allocated to regions by area share."""
     items = []
     premise_action = _FIVE_G_PREMISE[scenario.t2_quality]
-    members: dict[str, list[str]] = {}
     for region_id in sorted(frame.regions):
-        members.setdefault(frame.regions[region_id].country, []).append(region_id)
         for g in (Geotype.URBAN, Geotype.SUBURBAN):
             quantity = frame.premises[(region_id, g)].total
             if quantity > 0:
@@ -260,7 +258,7 @@ def demand_t2(frame: GeoFrame, scenario: Scenario) -> list[DemandItem]:
     rail_action = _FIVE_G_RAIL[scenario.t2_quality]
     for code in sorted(frame.countries):
         country = frame.countries[code]
-        member = members.get(code, [])
+        member = frame.country_regions.get(code, [])
         total_area = sum(frame.regions[r].area_km2 for r in member)
         if total_area <= 0:
             raise DataError(f"country {code}: zero total area, cannot allocate transport")

@@ -231,7 +231,7 @@ def test_criterion_09_transport_conservation(dataset, prepared):
 
     items = demand_t2(prepared.frame, SCENARIO_PRESETS["baseline"])
     for code, country in prepared.frame.countries.items():
-        member = set(prepared.frame.country_regions(code))
+        member = set(prepared.frame.country_regions[code])
         road = sum(i.quantity for i in items
                    if i.region in member and i.unit.value == "km_road")
         rail = sum(i.quantity for i in items

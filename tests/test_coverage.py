@@ -8,17 +8,16 @@ from datagen import random_dataset
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from gigagap import gap
 from gigagap.coverage import (
     PUBLISHED_BANDS,
     RECONCILE_TOLERANCE,
-    CapabilityTier,
     CoverageInterval,
     CoverageState,
     NationalFigure,
     TechClass,
     build_state,
     disaggregate_regions,
-    effective_footprint,
     spread_over_geotypes,
 )
 from gigagap.errors import DataError, GigagapError, InfeasibleCoverageError
@@ -266,22 +265,10 @@ class TestEffectiveFootprint:
                    for t, v in cov.items()}
         return CoverageState(vintage=2019, entries=entries)
 
-    def test_lte_counts_for_100mbps_in_extremely_rural_only(self):
-        state = self.make_state(LTE=0.8, FTTC_ADV_DSL=0.3)
-        xr = effective_footprint(state, "R1", Geotype.EXTREMELY_RURAL, CapabilityTier.MBPS_100)
-        assert xr == 0.8
-        state.entries[("R1", Geotype.RURAL, TechClass.LTE)] = 0.9
-        rural = effective_footprint(state, "R1", Geotype.RURAL, CapabilityTier.MBPS_100)
-        assert rural == 0.0
-
     def test_gigabit_tier_ignores_sub_gigabit_tech(self):
         state = self.make_state(FTTH_100M=0.9, DOCSIS_31=0.4, FTTH_1G=0.2)
-        got = effective_footprint(state, "R1", Geotype.EXTREMELY_RURAL, CapabilityTier.GBPS_1)
+        got = state.footprint_over("R1", Geotype.EXTREMELY_RURAL, gap._GIGABIT)
         assert got == 0.4
-
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(DataError):
-            effective_footprint(self.make_state(), "R1", Geotype.URBAN, "not-a-tier")
 
 
 class TestBuildState:
@@ -345,10 +332,10 @@ class TestWeightedMeanOnFixture:
         frame = prepared.frame
         # recover region-level points from the geotype spread
         for nf in dataset.coverage_national:
-            regions = frame.country_regions(nf.country)
+            regions = frame.country_regions[nf.country]
             acc = total_w = 0.0
             for rid in regions:
-                share = frame.profiles[rid].premises_share
+                share = frame.profiles[rid].population_share
                 point = sum(prepared.state.get(rid, g, nf.technology) * share[g]
                             for g in Geotype)
                 w = frame.region_premises(rid)

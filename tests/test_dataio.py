@@ -89,6 +89,18 @@ class TestValidation:
             "but the region total is 105 (52.4% off)",
         ]
 
+    def test_interval_of_unknown_region_names_its_line(self, broken_copy):
+        edit_csv(broken_copy / "coverage_intervals.csv",
+                 lambda rows: rows + [["ZZ999", "FTTB", "0.0", "0.35", "2019"]])
+        assert errors_for(broken_copy) == [
+            "ERROR coverage_intervals.csv:74: interval references unknown region ZZ999"]
+
+    def test_national_figure_of_unknown_country_names_its_line(self, broken_copy):
+        edit_csv(broken_copy / "coverage_national.csv",
+                 lambda rows: rows + [["ZZ", "FTTB", "0.5", "2019"]])
+        assert errors_for(broken_copy) == [
+            "ERROR coverage_national.csv:26: national figure references unknown country ZZ"]
+
     @pytest.mark.parametrize("filename", KEYED_FILES)
     def test_duplicate_region_id(self, broken_copy, filename):
         rows = list(csv.reader((broken_copy / filename).open(newline="")))

@@ -18,7 +18,7 @@ from gigagap.costs import (
     apply_preparedness,
     apply_sharing,
 )
-from gigagap.coverage import CapabilityTier, CoverageState, TechClass, effective_footprint
+from gigagap.coverage import CoverageState, TechClass
 from gigagap.dataio import validate_dataset
 from gigagap.errors import DataError
 from gigagap.gap import (
@@ -305,7 +305,8 @@ class TestRunScenario:
         for rid, summary in baseline_report.regions.items():
             expected = sum(
                 frame.premises[(rid, g)].total
-                * (1.0 - effective_footprint(state, rid, g, CapabilityTier.GBPS_1))
+                * (1.0 - max(state.get(rid, g, TechClass.FTTH_1G),
+                             state.get(rid, g, TechClass.DOCSIS_31)))
                 for g in Geotype)
             assert summary.premises_to_cover == pytest.approx(expected, rel=1e-12)
             assert summary.premises_total == pytest.approx(frame.region_premises(rid),
@@ -362,25 +363,39 @@ def netting_key(cell):
             gap._TARGET_ORDER[cell.target], gap._ACTION_ORDER[cell.action])
 
 
+def run_cells(prepared, key):
+    """A run key's report.cells, composed as run_scenario composes them from
+    the stored cells of the key's stages."""
+    standalone = {stage[0]: prepared.store[stage] for stage in key[1]}
+    t3_composed = standalone.pop(gap.T3_COMPOSED, None)
+    if t3_composed is None:
+        return [c for cells in standalone.values() for c in cells]
+    capitals = frozenset(c.capital_region for c in prepared.frame.countries.values())
+    return compose_egs(standalone, t3_composed, capitals)
+
+
 def store_keys(prepared):
     """prepared.store's stage keys and run keys. Every stage key is one of
     PRICED_KEYS's stages, and every stage a run key names is stored. Every
-    run key's netting order is in prepared.shared: one index array of
-    fixed and one of wireless cells, which together index each of the
-    run's cells once; the run's pools hold those cells in netting order."""
+    run key's netting order is in prepared.shared: one index array of the
+    run's fixed and one of its wireless cells, which together index each of
+    the run's cells once, each array in netting order. The run's stored
+    total is its cells' total."""
     runs = {key for key in prepared.store if key[0] == "run"}
     stages = prepared.store.keys() - runs
     assert all(key[0] in gap.PRICED_KEYS for key in stages)
     assert all(set(key[1]) <= stages for key in runs)
     for key in runs:
-        order, (fixed, wireless, _) = prepared.shared[key], prepared.store[key][3]
+        cells, order = run_cells(prepared, key), prepared.shared[key]
+        fixed, wireless = order
         assert [type(indices) for indices in order] == [array, array]
-        assert sorted(itertools.chain(*order)) == list(range(len(fixed) + len(wireless)))
-        assert [len(indices) for indices in order] == [len(fixed), len(wireless)]
-        assert not any(c.action.wireless for c in fixed)
-        assert all(c.action.wireless for c in wireless)
-        for pool in (fixed, wireless):
-            assert all(netting_key(a) <= netting_key(b) for a, b in zip(pool, pool[1:]))
+        assert sorted(itertools.chain(*order)) == list(range(len(cells)))
+        assert not any(cells[i].action.wireless for i in fixed)
+        assert all(cells[i].action.wireless for i in wireless)
+        for indices in order:
+            keys = [netting_key(cells[i]) for i in indices]
+            assert all(a <= b for a, b in zip(keys, keys[1:]))
+        assert prepared.store[key][3] == sum(c.investment_eur for c in cells)
     return stages, runs
 
 
@@ -520,10 +535,11 @@ class TestSharingSweep:
                 assert self.run(data, point, shared, options) == fresh[sharing, point], (
                     seed, sharing, point)
             # Only the first input prices and sorts; the others reprice the
-            # dataset's cells and gather their pools by its netting order.
+            # dataset's cells and net them in its netting order.
+            runs = store_keys(shared)[1]
             if i == 0:
                 assert len(partition_calls) > 0
-                assert len(netting_sorts) == len(store_keys(shared)[1]) > 0
+                assert len(netting_sorts) == len(runs) > 0
             else:
                 assert len(partition_calls) == 0, (seed, sharing)
                 assert len(netting_sorts) == 0, (seed, sharing)
@@ -673,14 +689,15 @@ class TestSharingSweep:
         # Gathered in the netting order of sharing 0, FR's road cells would
         # net first, and the pool would run out elsewhere.
         key = next(key for key in tied.store if key[0] == "run")
-        stale = gap._netting_pools(got[0], plain.shared[key])
+        stale = (*plain.shared[key], tied.store[key][3])
         report = run_scenario(data, BASELINE, options, operator=None, prepared=tied)
         assert subtract_operator_investment(report, operator, stale).operator != got[2]
 
 
 class TestNettingPools:
-    """run_scenario nets through the pools that PreparedInputs.store
-    keeps; they give what sorting the report's cells afresh gives."""
+    """run_scenario nets through the netting order and run total that
+    PreparedInputs keeps; they give what sorting the report's cells afresh
+    gives."""
 
     SHARING = (0.0, 0.06, 0.12)
     # A pool as a share of its cells' total: none, part of it (the greedy

@@ -22,6 +22,7 @@ from gigagap.geo import (
     classify,
     decompose_region,
     distribute_premises,
+    locality_sum_verdicts,
 )
 
 
@@ -96,18 +97,28 @@ class TestDecompose:
         assert sum(p.population_share.values()) == pytest.approx(1.0, abs=1e-12)
         assert sum(p.area_share.values()) == pytest.approx(1.0, abs=1e-12)
 
-    def test_premises_share_tracks_population_share(self):
-        r = region(pop=3000.0, area=30.0)
-        sums = locs((2500.0, 5.0, Degurba.URBAN),
-                    (500.0, 25.0, Degurba.RURAL))
-        p = decompose_region(r, sums)
-        assert p.premises_share == p.population_share
-
     def test_large_population_mismatch_rejected(self):
         r = region(pop=10000.0, area=100.0)
         sums = locs((7000.0, 100.0, Degurba.RURAL))
         with pytest.raises(DataError):
             decompose_region(r, sums)
+
+    def test_one_verdict_on_the_row_order_totals(self):
+        # The per-geotype sums here hold half the population; the verdict,
+        # and so decompose_region, reads the row-order totals only.
+        r = region(pop=10000.0, area=100.0)
+        sums = locs((10000.0, 100.0, Degurba.RURAL))
+        sums.geotype_population[Geotype.SEMI_RURAL] = 5000.0
+        assert list(locality_sum_verdicts(r, sums)) == []
+        assert decompose_region(r, sums).population_share[Geotype.SEMI_RURAL] == 1.0
+        off = locs((10100.0, 100.0, Degurba.RURAL), (1.0, 3.0, Degurba.RURAL))
+        assert list(locality_sum_verdicts(r, off)) == [
+            (False, "region R1: locality population off by 1.01%"),
+            (True, "region R1: locality area sums to 103 "
+                   "but the region total is 100 (3.0% off)"),
+        ]
+        with pytest.raises(DataError, match=r"^region R1: locality area sums to 103 but"):
+            decompose_region(r, off)
 
     def test_small_mismatch_tolerated(self):
         r = region(pop=10000.0, area=100.0)
@@ -211,7 +222,7 @@ class TestBuildFrame:
         for (code, sc), count in dataset.enterprises.items():
             cell_sum = sum(
                 frame.enterprises[(rid, g, sc)]
-                for rid in frame.country_regions(code) for g in Geotype
+                for rid in frame.country_regions[code] for g in Geotype
             )
             assert cell_sum == pytest.approx(count, rel=1e-9)
 
@@ -235,5 +246,5 @@ class TestBuildFrame:
             reg = dataset.regions[rid]
             pop_share = reg.population / country_pop[reg.country]
             expected = (dataset.enterprises[(reg.country, sc)] * pop_share
-                        * frame.profiles[rid].premises_share[g])
+                        * frame.profiles[rid].population_share[g])
             assert frame.enterprises[(rid, g, sc)] == pytest.approx(expected, rel=1e-12)

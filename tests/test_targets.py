@@ -204,7 +204,7 @@ class TestDemands:
     def test_t2_transport_conserves_country_totals(self, frame):
         items = [i for i in demand_t2(frame, BASELINE) if i.target is Target.T2_TRANSPORT]
         for code, country in frame.countries.items():
-            member = set(frame.country_regions(code))
+            member = set(frame.country_regions[code])
             road = sum(i.quantity for i in items
                        if i.region in member and i.unit is Unit.KM_ROAD)
             rail = sum(i.quantity for i in items

@@ -260,17 +260,17 @@ def validate_dataset(path: str | Path) -> tuple[Dataset | None, ValidationReport
         report.error(str(path), 0, "dataset directory not found")
         return None, report
 
-    regions = _load_regions(path, report)
-    localities = _load_localities(path, report, regions)
     countries = _load_countries(path, report)
-    enterprises = _load_enterprises(path, report)
-    intervals = _load_intervals(path, report, regions)
+    regions, rejected = _load_regions(path, report, countries)
+    localities = _load_localities(path, report, regions, rejected)
+    enterprises = _load_enterprises(path, report, countries)
+    intervals = _load_intervals(path, report, regions, rejected)
     national = _load_national(path, report, countries)
     cost_refs = _load_cost_references(path, report)
     price_index = _load_price_index(path, report)
-    cohesion = _load_cohesion(path, report)
+    cohesion = _load_cohesion(path, report, regions, rejected)
 
-    _cross_checks(report, regions, localities, countries, enterprises,
+    _cross_checks(report, regions, rejected, localities, countries,
                   intervals, national, cost_refs, price_index, cohesion)
 
     vintages = sorted({iv.vintage for iv in intervals} | {nf.vintage for nf in national})
@@ -305,10 +305,20 @@ def load_dataset(path: str | Path) -> Dataset:
 # Each loader's parse passes its record's fields positionally, in the order
 # of the file's columns: keyword arguments cost more per row.
 
-def _load_regions(path, report) -> dict[str, Region]:
+def _load_regions(path, report, countries) -> tuple[dict[str, Region], set[str]]:
+    """The valid regions, and the ids of rows rejected for a bad field or an
+    unknown country. A row elsewhere that names a rejected region is
+    dropped without an error of its own: the region's is enough."""
+    named = set()
+
     def parse(id, country, population, area_km2, households):
-        return Region(id.strip(), country.strip(), _parse_float(population, "population"),
-                      _parse_float(area_km2, "area_km2"), _parse_float(households, "households"))
+        id, country = id.strip(), country.strip()
+        named.add(id)
+        region = Region(id, country, _parse_float(population, "population"),
+                        _parse_float(area_km2, "area_km2"), _parse_float(households, "households"))
+        if country not in countries:
+            raise DataError(f"region {id} references unknown country {country}")
+        return region
 
     out: dict[str, Region] = {}
     cols = ("id", "country", "population", "area_km2", "households")
@@ -318,10 +328,10 @@ def _load_regions(path, report) -> dict[str, Region]:
             report.warning("regions.csv", lineno,
                            f"region {region.id} has households but zero population")
         out[region.id] = region
-    return out
+    return out, named - out.keys()
 
 
-def _load_localities(path, report, regions) -> dict[str, LocalitySums]:
+def _load_localities(path, report, regions, rejected) -> dict[str, LocalitySums]:
     """Each known region's localities, classified and summed row by row."""
     def parse(id, region, population, area_km2, degurba):
         id = id.strip()
@@ -341,8 +351,9 @@ def _load_localities(path, report, regions) -> dict[str, LocalitySums]:
         sums = out.get(region)
         if sums is None:
             if region not in regions:
-                report.error("localities.csv", lineno,
-                             f"locality {loc_id} references unknown region {region}")
+                if region not in rejected:
+                    report.error("localities.csv", lineno,
+                                 f"locality {loc_id} references unknown region {region}")
                 continue
             sums = out[region] = LocalitySums()
         sums.add(population, area_km2, geotype)
@@ -381,7 +392,7 @@ def _load_countries(path, report) -> dict[str, Country]:
     return out
 
 
-def _load_enterprises(path, report) -> dict[tuple[str, str], float]:
+def _load_enterprises(path, report, countries) -> dict[tuple[str, str], float]:
     def parse(country, size_class, count):
         size_class = size_class.strip()
         if size_class not in SIZE_CLASSES:
@@ -392,12 +403,19 @@ def _load_enterprises(path, report) -> dict[tuple[str, str], float]:
             raise DataError(f"negative enterprise count {count}")
         return (country.strip(), size_class), count
 
-    rows = _parsed_rows(path, report, "enterprises.csv", ("country", "size_class", "count"),
-                        parse, itemgetter(0), "enterprise row for {0[0][0]}/{0[0][1]}")
-    return dict(value for _, value in rows)
+    out = {}
+    for lineno, (key, count) in _parsed_rows(
+            path, report, "enterprises.csv", ("country", "size_class", "count"), parse,
+            itemgetter(0), "enterprise row for {0[0][0]}/{0[0][1]}"):
+        if key[0] not in countries:
+            report.error("enterprises.csv", lineno,
+                         f"enterprise counts reference unknown country {key[0]}")
+            continue
+        out[key] = count
+    return out
 
 
-def _load_intervals(path, report, regions) -> list[CoverageInterval]:
+def _load_intervals(path, report, regions, rejected) -> list[CoverageInterval]:
     """The intervals of known regions."""
     def parse(region, technology, band_low, band_high, vintage):
         return CoverageInterval(
@@ -411,8 +429,9 @@ def _load_intervals(path, report, regions) -> list[CoverageInterval]:
                                    attrgetter("region", "technology"),
                                    "interval for {0.region}/{0.technology.value}"):
         if iv.region not in regions:
-            report.error("coverage_intervals.csv", lineno,
-                         f"interval references unknown region {iv.region}")
+            if iv.region not in rejected:
+                report.error("coverage_intervals.csv", lineno,
+                             f"interval references unknown region {iv.region}")
             continue
         if all(abs(iv.low - lo) > 1e-9 or abs(iv.high - hi) > 1e-9
                for lo, hi in PUBLISHED_BANDS):
@@ -469,23 +488,29 @@ def _load_price_index(path, report) -> dict[int, float]:
     return dict(value for _, value in rows)
 
 
-def _load_cohesion(path, report) -> dict[str, bool]:
+def _load_cohesion(path, report, regions, rejected) -> dict[str, bool]:
+    """The cohesion flags of known regions."""
     def parse(region, is_cohesion):
         return region.strip(), _parse_bool(is_cohesion, "is_cohesion")
 
-    rows = _parsed_rows(path, report, "cohesion.csv", ("region", "is_cohesion"), parse,
-                        itemgetter(0), "cohesion row for {0[0]}")
-    return dict(value for _, value in rows)
+    out = {}
+    for lineno, (region, flag) in _parsed_rows(path, report, "cohesion.csv",
+                                               ("region", "is_cohesion"), parse,
+                                               itemgetter(0), "cohesion row for {0[0]}"):
+        if region not in regions:
+            if region not in rejected:
+                report.error("cohesion.csv", lineno,
+                             f"cohesion flag references unknown region {region}")
+            continue
+        out[region] = flag
+    return out
 
 
-def _cross_checks(report, regions, localities, countries, enterprises,
+def _cross_checks(report, regions, rejected, localities, countries,
                   intervals, national, cost_refs, price_index, cohesion) -> None:
     country_members: dict[str, set[str]] = {}
     for region in regions.values():
         country_members.setdefault(region.country, set()).add(region.id)
-        if region.country not in countries:
-            report.error("regions.csv", 0,
-                         f"region {region.id} references unknown country {region.country}")
 
     for region_id in sorted(regions):
         sums = localities.get(region_id)
@@ -498,6 +523,8 @@ def _cross_checks(report, regions, localities, countries, enterprises,
     for code in sorted(countries):
         country = countries[code]
         capital = country.capital_region
+        if capital in rejected:
+            continue
         if capital not in regions:
             report.error("countries.csv", 0,
                          f"country {code}: capital region {capital} not in regions.csv")
@@ -505,11 +532,6 @@ def _cross_checks(report, regions, localities, countries, enterprises,
             report.error("countries.csv", 0,
                          f"country {code}: capital region {capital} belongs to "
                          f"{regions[capital].country}")
-
-    for (country, _sc) in enterprises:
-        if country not in countries:
-            report.error("enterprises.csv", 0,
-                         f"enterprise counts reference unknown country {country}")
 
     pairs_with_intervals: dict[tuple[str, TechClass], set[str]] = {}
     for iv in intervals:
@@ -530,18 +552,16 @@ def _cross_checks(report, regions, localities, countries, enterprises,
                          f"{country}/{tech.value}: intervals present but no national figure")
     for pair in sorted(national_pairs - set(pairs_with_intervals),
                        key=lambda p: (p[0], p[1].value)):
-        report.error("coverage_intervals.csv", 0,
-                     f"{pair[0]}/{pair[1].value}: national figure present but no intervals")
+        # A country whose capital was rejected may have lost its only region.
+        if countries[pair[0]].capital_region not in rejected:
+            report.error("coverage_intervals.csv", 0,
+                         f"{pair[0]}/{pair[1].value}: national figure present but no intervals")
 
     years_needed = {ref.price_year for ref in cost_refs}
     for year in sorted(years_needed - set(price_index)):
         report.error("price_index.csv", 0,
                      f"cost references use price year {year} but the index has no entry")
 
-    for region_id in cohesion:
-        if region_id not in regions:
-            report.error("cohesion.csv", 0,
-                         f"cohesion flag references unknown region {region_id}")
     for region_id in sorted(set(regions) - set(cohesion)):
         report.warning("cohesion.csv", 0, f"region {region_id} has no cohesion flag")
 

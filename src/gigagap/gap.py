@@ -556,7 +556,7 @@ def _region_summaries(dataset, frame: GeoFrame, state: CoverageState) -> dict[st
         to_cover = 0.0
         total = 0.0
         for g in Geotype:
-            premises = frame.premises[(region_id, g)].total
+            premises = frame.premises[(region_id, g)]
             total += premises
             footprint = state.footprint_over(region_id, g, _GIGABIT)
             to_cover += premises * (1.0 - footprint)
@@ -789,22 +789,33 @@ def compare_vintages(report_a: GapReport, report_b: GapReport) -> EvolutionRepor
         deltas[key] = newer.totals[key] - older.totals[key]
     points = [(older.vintage, older.headline_total_eur),
               (newer.vintage, newer.headline_total_eur)]
-    fit = statistics.linear_regression([p[0] for p in points], [p[1] for p in points])
-    crossing = None
-    if fit.slope < 0:
-        crossing = round(-fit.intercept / fit.slope)
+    try:
+        years = [float(year) for year, _ in points]
+    except OverflowError:
+        raise DataError("a vintage does not convert to a float") from None
+    try:
+        fit = statistics.linear_regression(years, [p[1] for p in points])
+    except (ArithmeticError, ValueError) as err:
+        raise DataError(f"no trend fits the two vintages: {err}") from None
+    total_delta = points[1][1] - points[0][1]
+    extrapolated = fit.intercept + fit.slope * 2025
+    zero_year = -fit.intercept / fit.slope if fit.slope < 0 else 0.0
     grown = {}
     for code in sorted(set(older.country_totals) & set(newer.country_totals)):
         delta = newer.country_totals[code] - older.country_totals[code]
         if delta > 0:
             grown[code] = delta
+    if not all(map(math.isfinite, (fit.slope, fit.intercept, extrapolated, zero_year,
+                                   total_delta, *deltas.values(), *grown.values()))):
+        raise DataError(f"the trend from vintage {older.vintage} to {newer.vintage} "
+                        "is not finite")
     return EvolutionReport(
         scenario_name=newer.scenario_name,
         points=points,
         target_deltas_eur=deltas,
-        total_delta_eur=points[1][1] - points[0][1],
+        total_delta_eur=total_delta,
         slope_eur_per_year=fit.slope,
-        extrapolated_2025_eur=fit.intercept + fit.slope * 2025,
-        zero_crossing_year=crossing,
+        extrapolated_2025_eur=extrapolated,
+        zero_crossing_year=round(zero_year) if fit.slope < 0 else None,
         countries_grown=grown,
     )

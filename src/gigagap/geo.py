@@ -9,7 +9,7 @@ written out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import DataError
@@ -108,20 +108,15 @@ class LocalitySums:
         self.geotype_area[geotype] += area_km2
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class Region:
-    """NUTS3 statistical region.
-
-    enterprise_counts is filled in when the frame is built: country
-    totals per size class scaled by the region's population share.
-    """
+    """NUTS3 statistical region, as read; frozen, as frames share it."""
 
     id: str
     country: str
     population: float
     area_km2: float
     households: float
-    enterprise_counts: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.area_km2 <= 0:
@@ -134,10 +129,6 @@ class Region:
     @property
     def density(self) -> float:
         return self.population / self.area_km2
-
-    @property
-    def enterprise_locations(self) -> float:
-        return sum(self.enterprise_counts.values())
 
 
 @dataclass
@@ -186,22 +177,6 @@ class GeotypeProfile:
     region: str
     population_share: dict[Geotype, float]
     area_share: dict[Geotype, float]
-
-
-@dataclass(slots=True)
-class Premises:
-    """Connectable premises of one region-geotype cell."""
-
-    households: float
-    enterprise_locations: float
-
-    def __post_init__(self):
-        if self.households < 0 or self.enterprise_locations < 0:
-            raise DataError("premises counts must be non-negative")
-
-    @property
-    def total(self) -> float:
-        return self.households + self.enterprise_locations
 
 
 # classify runs once per locality row. Python 3.11's EnumType defines
@@ -262,92 +237,72 @@ def decompose_region(region: Region, localities: LocalitySums | None) -> Geotype
     return GeotypeProfile(region=region.id, population_share=pop_share, area_share=area_share)
 
 
-def distribute_premises(region: Region, profile: GeotypeProfile) -> dict[Geotype, Premises]:
-    """Spread a region's households and enterprise locations over its
-    geotypes proportionally to population share."""
-    locations = region.enterprise_locations
-    out = {}
-    for g in Geotype:
-        share = profile.population_share[g]
-        out[g] = Premises(
-            households=region.households * share,
-            enterprise_locations=locations * share,
-        )
-    return out
-
-
 def allocate_enterprises(countries: dict[str, Country],
                          regions: dict[str, Region],
-                         enterprise_counts: dict[tuple[str, str], float]) -> None:
-    """Fill each region's enterprise_counts from country totals.
-
-    Each country's per-size-class counts are scaled by the region's
-    share of the country population. Mutates the regions in place.
-    """
+                         enterprise_counts: dict[tuple[str, str], float]
+                         ) -> dict[str, dict[str, float]]:
+    """{region id: {size class: count}}, in sorted region order: each
+    country's per-size-class counts scaled by the region's share of the
+    country population."""
     country_pop = {code: 0.0 for code in countries}
     for region in regions.values():
         country_pop[region.country] += region.population
 
+    out = {}
     for region_id in sorted(regions):
         region = regions[region_id]
         total = country_pop[region.country]
         share = region.population / total if total > 0 else 0.0
-        region.enterprise_counts = {
-            sc: enterprise_counts.get((region.country, sc), 0.0) * share
-            for sc in SIZE_CLASSES
-        }
+        out[region_id] = {sc: enterprise_counts.get((region.country, sc), 0.0) * share
+                          for sc in SIZE_CLASSES}
+    return out
 
 
 @dataclass
 class GeoFrame:
-    """Prepared socio-geographical inputs for one dataset.
+    """Prepared socio-geographical inputs for one dataset, as plain numbers.
 
     Everything downstream (coverage weights, demand quantities) reads
-    from here rather than re-deriving shares. country_regions is each
-    country's member region ids, sorted; a country without regions has
-    no entry.
+    from here rather than re-deriving shares. regions and countries are
+    the dataset's own, not copies. country_regions is each country's
+    member region ids, sorted; a country without regions has no entry.
+    premises[(region, geotype)] is the cell's households plus enterprise
+    locations; enterprise_counts is allocate_enterprises' table.
     """
 
     countries: dict[str, Country]
     regions: dict[str, Region]
     country_regions: dict[str, list[str]]
     profiles: dict[str, GeotypeProfile]
-    premises: dict[tuple[str, Geotype], Premises]
-    # selected-enterprise bookkeeping needs per-class counts per cell
-    enterprises: dict[tuple[str, Geotype, str], float]
+    premises: dict[tuple[str, Geotype], float]
+    enterprise_counts: dict[str, dict[str, float]]
 
     def region_premises(self, region_id: str) -> float:
-        return sum(self.premises[(region_id, g)].total for g in Geotype)
+        return sum(self.premises[(region_id, g)] for g in Geotype)
 
 
 def build_frame(dataset) -> GeoFrame:
-    """Assemble the GeoFrame from a loaded dataset.
-
-    The frame gets its own copies of the regions, so the dataset is left
-    as loaded and can be prepared again."""
-    regions = {r: replace(region) for r, region in dataset.regions.items()}
-    allocate_enterprises(dataset.countries, regions, dataset.enterprises)
+    """Assemble the GeoFrame from a loaded dataset, sharing its regions and
+    leaving it as loaded. A cell's premises are the region's households
+    and enterprise locations, each times the geotype's population share."""
+    regions = dataset.regions
+    enterprise_counts = allocate_enterprises(dataset.countries, regions, dataset.enterprises)
 
     country_regions: dict[str, list[str]] = {}
     profiles = {}
     premises = {}
-    enterprises = {}
-    for region_id in sorted(regions):
+    for region_id, counts in enterprise_counts.items():
         region = regions[region_id]
         country_regions.setdefault(region.country, []).append(region_id)
-        profile = decompose_region(region, dataset.localities.get(region_id))
-        profiles[region_id] = profile
-        for g, prem in distribute_premises(region, profile).items():
-            premises[(region_id, g)] = prem
-            for sc in SIZE_CLASSES:
-                enterprises[(region_id, g, sc)] = (
-                    region.enterprise_counts.get(sc, 0.0) * profile.population_share[g]
-                )
+        profile = profiles[region_id] = decompose_region(region, dataset.localities.get(region_id))
+        locations = sum(counts.values())
+        for g, share in profile.population_share.items():
+            premises[(region_id, g)] = region.households * share + locations * share
     return GeoFrame(
         countries=dataset.countries,
         regions=regions,
         country_regions=country_regions,
         profiles=profiles,
         premises=premises,
-        enterprises=enterprises,
+        enterprise_counts=enterprise_counts,
     )

@@ -235,7 +235,7 @@ def demand_t1(frame: GeoFrame, scenario: Scenario) -> list[DemandItem]:
         if capital not in frame.regions:
             raise DataError(f"country {code}: capital region {capital} not in dataset")
         for g in Geotype:
-            quantity = frame.premises[(capital, g)].total
+            quantity = frame.premises[(capital, g)]
             if quantity > 0:
                 items.append(DemandItem(Target.T1, capital, g, Unit.PREMISES,
                                         quantity, action))
@@ -249,7 +249,7 @@ def demand_t2(frame: GeoFrame, scenario: Scenario) -> list[DemandItem]:
     premise_action = _FIVE_G_PREMISE[scenario.t2_quality]
     for region_id in sorted(frame.regions):
         for g in (Geotype.URBAN, Geotype.SUBURBAN):
-            quantity = frame.premises[(region_id, g)].total
+            quantity = frame.premises[(region_id, g)]
             if quantity > 0:
                 items.append(DemandItem(Target.T2_URBAN, region_id, g, Unit.PREMISES,
                                         quantity, premise_action))
@@ -280,16 +280,18 @@ def demand_t2(frame: GeoFrame, scenario: Scenario) -> list[DemandItem]:
     return items
 
 
-def select_t3_enterprises(frame: GeoFrame, tier: T3Tier) -> dict[tuple[str, Geotype, str], float]:
-    """Pick the enterprises served by T3 under the tier cap.
+def select_t3_enterprises(frame: GeoFrame, tier: T3Tier) -> dict[str, float]:
+    """{size class: fraction of it that T3 serves} under the tier cap.
 
     Larger size classes are taken first; the marginal class is prorated
     uniformly across all cells.
     """
     cap = T3_TIER_CAPS[tier]
     class_totals = {sc: 0.0 for sc in SIZE_CLASSES}
-    for (region, g, sc), count in frame.enterprises.items():
-        class_totals[sc] += count
+    for region_id, counts in frame.enterprise_counts.items():  # sorted by region
+        for share in frame.profiles[region_id].population_share.values():
+            for sc in SIZE_CLASSES:
+                class_totals[sc] += counts[sc] * share
     base = sum(class_totals.values())
     if cap is not None and cap > base:
         raise DataError(
@@ -307,25 +309,24 @@ def select_t3_enterprises(frame: GeoFrame, tier: T3Tier) -> dict[tuple[str, Geot
             take = min(class_totals[sc], remaining)
             fractions[sc] = take / class_totals[sc]
             remaining -= take
-    selected = {}
-    for key in frame.enterprises:
-        sc = key[2]
-        selected[key] = frame.enterprises[key] * fractions[sc]
-    return selected
+    return fractions
 
 
 def demand_t3(frame: GeoFrame, scenario: Scenario) -> list[DemandItem]:
-    """Gigabit household-equivalents for the selected enterprises.
+    """Gigabit household-equivalents for the selected enterprises: per
+    cell and size class, the region's count times the geotype's
+    population share times the class's select_t3_enterprises fraction.
 
     The build action is fibre everywhere; the extremely rural geotype
     explicitly requires it. Cheaper routes over existing footprints are
     resolved later, per cell.
     """
-    selected = select_t3_enterprises(frame, scenario.t3_tier)
+    fractions = select_t3_enterprises(frame, scenario.t3_tier)
     items = []
     for region_id in sorted(frame.regions):
-        for g in Geotype:
-            counts = {sc: selected.get((region_id, g, sc), 0.0) for sc in SIZE_CLASSES}
+        region_counts = frame.enterprise_counts[region_id]
+        for g, share in frame.profiles[region_id].population_share.items():
+            counts = {sc: region_counts[sc] * share * fractions[sc] for sc in SIZE_CLASSES}
             equivalents = household_equivalents(counts)
             locations = sum(counts.values())
             if equivalents > 0:
@@ -341,7 +342,7 @@ def demand_t4(frame: GeoFrame, scenario: Scenario) -> list[DemandItem]:
     items = []
     for region_id in sorted(frame.regions):
         for g in Geotype:
-            quantity = frame.premises[(region_id, g)].total
+            quantity = frame.premises[(region_id, g)]
             if quantity <= 0:
                 continue
             items.append(DemandItem(Target.T4, region_id, g, Unit.PREMISES,

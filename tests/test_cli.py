@@ -464,6 +464,23 @@ class TestCompare:
         assert payload["format"] == "gigagap-evolution-v1"
         assert [p["vintage"] for p in payload["points"]] == [2019, 2021]
 
+    @pytest.mark.parametrize("later, first_total, later_total", [
+        (2020, 1e308, 0.0), (2020, 0.0, 1e308), (10**400, 1.0, 2.0),
+    ], ids=["crossing-overflows", "extrapolation-is-nan", "vintage-beyond-float"])
+    def test_trend_that_is_not_finite_is_domain_error(self, baseline_out, tmp_path, capsys,
+                                                      later, first_total, later_total):
+        summary = json.loads((baseline_out[0] / "gap_summary.json").read_text())
+        paths = []
+        for i, (vintage, total) in enumerate(((2019, first_total), (later, later_total))):
+            summary["vintage"] = vintage
+            summary["totals_eur"]["egs_premises_companies"] = total
+            paths.append(tmp_path / f"summary-{i}.json")
+            paths[-1].write_text(json.dumps(summary))
+        out = tmp_path / "evo"
+        assert cli.main(["compare", *map(str, paths), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_missing_summary_file_is_environment_error(self, tmp_path):
         proc = gigagap("compare", str(tmp_path / "a.json"), str(tmp_path / "b.json"))
         assert proc.returncode == 2

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import oracle
-from gigagap import dataio
+from gigagap import cli, dataio
 from gigagap.coverage import TechClass
 from gigagap.errors import DataError, DatasetValidationError
 from gigagap.gap import run_scenario
@@ -100,6 +100,44 @@ class TestValidation:
                  lambda rows: rows + [["ZZ", "FTTB", "0.5", "2019"]])
         assert errors_for(broken_copy) == [
             "ERROR coverage_national.csv:26: national figure references unknown country ZZ"]
+
+    def test_enterprise_counts_of_unknown_country_name_their_line(self, broken_copy):
+        edit_csv(broken_copy / "enterprises.csv", lambda rows: rows + [["ZZ", "0-9", "10"]])
+        assert errors_for(broken_copy) == [
+            "ERROR enterprises.csv:17: enterprise counts reference unknown country ZZ"]
+
+    def test_cohesion_flag_of_unknown_region_names_its_line(self, broken_copy):
+        edit_csv(broken_copy / "cohesion.csv", lambda rows: rows + [["ZZ999", "true"]])
+        assert errors_for(broken_copy) == [
+            "ERROR cohesion.csv:11: cohesion flag references unknown region ZZ999"]
+
+    def test_region_of_unknown_country_names_its_line(self, broken_copy):
+        def move(rows):
+            rows[1][1] = "QQ"
+            return rows
+        edit_csv(broken_copy / "regions.csv", move)
+        assert errors_for(broken_copy) == [
+            "ERROR regions.csv:2: region FR101 references unknown country QQ"]
+
+    @pytest.mark.parametrize("region, column, raw, message", [
+        ("FR101", 4, "nan", "households: not a finite number: 'nan'"),
+        ("FR101", 1, "QQ", "region FR101 references unknown country QQ"),
+        # CY000 is its country's only region and its capital.
+        ("CY000", 3, "0", "region CY000: area must be positive, got 0.0"),
+        ("CY000", 1, "QQ", "region CY000 references unknown country QQ"),
+    ], ids=["bad-field", "unknown-country", "only-region-bad-field",
+            "only-region-unknown-country"])
+    def test_one_bad_region_row_is_one_error(self, broken_copy, capsys, region, column, raw,
+                                             message):
+        # The rows that name the rejected region (localities, intervals, the
+        # capital, cohesion) are dropped without errors of their own.
+        rows = list(csv.reader((broken_copy / "regions.csv").open(newline="")))
+        index = next(i for i, r in enumerate(rows) if r[0] == region)
+        rows[index][column] = raw
+        edit_csv(broken_copy / "regions.csv", lambda _: rows)
+        assert errors_for(broken_copy) == [f"ERROR regions.csv:{index + 1}: {message}"]
+        assert cli.main(["validate", "--dataset", str(broken_copy)]) == 1
+        assert capsys.readouterr().out.endswith(f"FAILED: 1 error(s) in {broken_copy}\n")
 
     @pytest.mark.parametrize("filename", KEYED_FILES)
     def test_duplicate_region_id(self, broken_copy, filename):
@@ -401,7 +439,7 @@ class TestLocalityFold:
             "E8,R2,0,4,rural\n"           # zero population: extremely rural
             "E9,R2,0,0.5,3\n")
         report = dataio.ValidationReport(dataset=str(tmp_path))
-        localities = dataio._load_localities(tmp_path, report, {"R1", "R2"})
+        localities = dataio._load_localities(tmp_path, report, {"R1", "R2"}, set())
         assert report.entries == []
         assert folded(localities) == brute_force_fold(tmp_path)
         r1, r2 = localities["R1"], localities["R2"]

@@ -304,7 +304,7 @@ class TestRunScenario:
         frame, state = prepared.frame, prepared.state
         for rid, summary in baseline_report.regions.items():
             expected = sum(
-                frame.premises[(rid, g)].total
+                frame.premises[(rid, g)]
                 * (1.0 - max(state.get(rid, g, TechClass.FTTH_1G),
                              state.get(rid, g, TechClass.DOCSIS_31)))
                 for g in Geotype)

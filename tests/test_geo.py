@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from gigagap.geo import (
     build_frame,
     classify,
     decompose_region,
-    distribute_premises,
     locality_sum_verdicts,
 )
 
@@ -39,7 +39,7 @@ def load_localities(tmp_path, *rows):
     lines = ["id,region,population,area_km2,degurba", *(",".join(r) for r in rows)]
     (tmp_path / "localities.csv").write_text("\n".join(lines) + "\n")
     report = dataio.ValidationReport(dataset=str(tmp_path))
-    sums = dataio._load_localities(tmp_path, report, {"R1"})
+    sums = dataio._load_localities(tmp_path, report, {"R1"}, set())
     return [str(e) for e in report.errors], sums
 
 
@@ -139,23 +139,29 @@ class TestDecompose:
             decompose_region(region(), sums)
 
 
+def one_region_frame(r, sums, enterprises=None):
+    """build_frame of a dataset whose country XX has the one region r, with
+    locality sums and {size class: count} enterprise totals."""
+    return build_frame(types.SimpleNamespace(
+        countries={"XX": make_country()}, regions={r.id: r}, localities={r.id: sums},
+        enterprises={("XX", sc): n for sc, n in (enterprises or {}).items()}))
+
+
 class TestPremises:
     def test_distribution_conserves_households(self):
         r = region(pop=3000.0, area=30.0, households=1200.0)
-        r.enterprise_counts = {sc: 0.0 for sc in SIZE_CLASSES}
         sums = locs((1000.0, 1.0, Degurba.URBAN),
                     (2000.0, 29.0, Degurba.RURAL))
-        prem = distribute_premises(r, decompose_region(r, sums))
-        assert sum(p.households for p in prem.values()) == pytest.approx(1200.0, rel=1e-12)
+        frame = one_region_frame(r, sums)
+        assert frame.region_premises("R1") == pytest.approx(1200.0, rel=1e-12)
 
     def test_distribution_conserves_enterprise_locations(self):
-        r = region(pop=3000.0, area=30.0, households=1200.0)
-        r.enterprise_counts = {"0-9": 90.0, "10-19": 6.0, "20-49": 3.0,
-                               "50-249": 0.9, "250+": 0.1}
+        r = region(pop=3000.0, area=30.0, households=0.0)
         sums = locs((1800.0, 2.0, Degurba.URBAN),
                     (1200.0, 28.0, Degurba.RURAL))
-        prem = distribute_premises(r, decompose_region(r, sums))
-        assert sum(p.enterprise_locations for p in prem.values()) == pytest.approx(100.0, rel=1e-12)
+        frame = one_region_frame(r, sums, {"0-9": 90.0, "10-19": 6.0, "20-49": 3.0,
+                                           "50-249": 0.9, "250+": 0.1})
+        assert frame.region_premises("R1") == pytest.approx(100.0, rel=1e-12)
 
 
 def make_country(code="XX", capital="R1", docsis=None, fttp=None):
@@ -176,17 +182,17 @@ class TestEnterprises:
         regions = {f"R{i}": region(id=f"R{i}", pop=p, area=10.0, households=p * 0.4)
                    for i, p in enumerate(pops)}
         counts = {("XX", sc): 1000.0 * (i + 1) for i, sc in enumerate(SIZE_CLASSES)}
-        allocate_enterprises(country, regions, counts)
+        allocated = allocate_enterprises(country, regions, counts)
         if sum(pops) > 0:
             for i, sc in enumerate(SIZE_CLASSES):
-                allocated = sum(r.enterprise_counts[sc] for r in regions.values())
-                assert allocated == pytest.approx(1000.0 * (i + 1), rel=1e-9)
+                total = sum(allocated[r][sc] for r in regions)
+                assert total == pytest.approx(1000.0 * (i + 1), rel=1e-9)
 
     def test_zero_population_country_allocates_nothing(self):
         country = {"XX": make_country()}
         regions = {"R1": region(pop=0.0, households=0.0)}
-        allocate_enterprises(country, regions, {("XX", "0-9"): 500.0})
-        assert regions["R1"].enterprise_counts["0-9"] == 0.0
+        allocated = allocate_enterprises(country, regions, {("XX", "0-9"): 500.0})
+        assert allocated["R1"]["0-9"] == 0.0
 
 
 class TestCableDominance:
@@ -206,22 +212,38 @@ class TestCableDominance:
             make_country(docsis="55-60", fttp="<10")
 
 
+def cell_enterprises(frame) -> dict:
+    """{(region, geotype, size class): count}: a region's count of a class
+    times the geotype's population share, for every cell."""
+    return {(rid, g, sc): counts[sc] * share
+            for rid, counts in frame.enterprise_counts.items()
+            for g, share in frame.profiles[rid].population_share.items()
+            for sc in SIZE_CLASSES}
+
+
 class TestBuildFrame:
     def test_prepare_inputs_leaves_dataset_as_loaded(self, fixture_dir):
         dataset = dataio.load_dataset(fixture_dir)
-        loaded = {rid: dict(reg.enterprise_counts) for rid, reg in dataset.regions.items()}
+        loaded = {rid: dataclasses.astuple(reg) for rid, reg in dataset.regions.items()}
         first = prepare_inputs(dataset)
-        assert {rid: reg.enterprise_counts
+        assert {rid: dataclasses.astuple(reg)
                 for rid, reg in dataset.regions.items()} == loaded
         again = prepare_inputs(dataclasses.replace(dataset))
         assert again.frame is not first.frame
         assert again.frame == first.frame
 
+    def test_frame_shares_the_datasets_frozen_regions(self, dataset):
+        frame = build_frame(dataset)
+        assert frame.regions is dataset.regions
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            frame.regions["FR101"].households = 0.0
+
     def test_fixture_frame_cell_enterprises_resum_to_country(self, dataset):
         frame = build_frame(dataset)
+        cells = cell_enterprises(frame)
         for (code, sc), count in dataset.enterprises.items():
             cell_sum = sum(
-                frame.enterprises[(rid, g, sc)]
+                cells[(rid, g, sc)]
                 for rid in frame.country_regions[code] for g in Geotype
             )
             assert cell_sum == pytest.approx(count, rel=1e-9)
@@ -230,21 +252,22 @@ class TestBuildFrame:
         frame = build_frame(dataset)
         for rid, reg in frame.regions.items():
             total = frame.region_premises(rid)
-            expected = reg.households + reg.enterprise_locations
+            expected = reg.households + sum(frame.enterprise_counts[rid].values())
             assert total == pytest.approx(expected, rel=1e-9)
 
     def test_equivalence_against_direct_sum(self, dataset):
         """Cell-level enterprise counts equal country count times the
         product of population shares, computed independently."""
         frame = build_frame(dataset)
+        cells = cell_enterprises(frame)
         country_pop = {}
         for reg in dataset.regions.values():
             country_pop[reg.country] = country_pop.get(reg.country, 0.0) + reg.population
-        keys = sorted(frame.enterprises, key=lambda k: (k[0], k[1].value, k[2]))
+        keys = sorted(cells, key=lambda k: (k[0], k[1].value, k[2]))
         random_cells = random.Random(7).sample(keys, 40)
         for (rid, g, sc) in random_cells:
             reg = dataset.regions[rid]
             pop_share = reg.population / country_pop[reg.country]
             expected = (dataset.enterprises[(reg.country, sc)] * pop_share
                         * frame.profiles[rid].population_share[g])
-            assert frame.enterprises[(rid, g, sc)] == pytest.approx(expected, rel=1e-12)
+            assert cells[(rid, g, sc)] == pytest.approx(expected, rel=1e-12)

@@ -37,6 +37,14 @@ def frame(dataset):
     return build_frame(dataset)
 
 
+def cell_enterprises(frame) -> dict:
+    """{(region, geotype, size class): count} of every cell."""
+    return {(rid, g, sc): counts[sc] * share
+            for rid, counts in frame.enterprise_counts.items()
+            for g, share in frame.profiles[rid].population_share.items()
+            for sc in SIZE_CLASSES}
+
+
 class TestScenario:
     def test_preset_fields(self):
         assert BASELINE.t3_tier is T3Tier.ALL_ENTERPRISES
@@ -141,17 +149,17 @@ class TestT3Selection:
 
     def test_all_tier_selects_everything(self, frame):
         selected = select_t3_enterprises(frame, T3Tier.ALL_ENTERPRISES)
-        assert selected == frame.enterprises
+        assert selected == dict.fromkeys(SIZE_CLASSES, 1.0)
 
     def test_capped_tier_takes_largest_first(self, frame):
         # fixture base is 1.6m; the 1m cap keeps every class above 0-9
         # whole and prorates the smallest class
-        selected = select_t3_enterprises(frame, T3Tier.ONE_MILLION)
+        fractions = select_t3_enterprises(frame, T3Tier.ONE_MILLION)
         class_totals = {sc: 0.0 for sc in SIZE_CLASSES}
         sel_totals = {sc: 0.0 for sc in SIZE_CLASSES}
-        for key, count in frame.enterprises.items():
-            class_totals[key[2]] += count
-            sel_totals[key[2]] += selected[key]
+        for (_, _, sc), count in cell_enterprises(frame).items():
+            class_totals[sc] += count
+            sel_totals[sc] += count * fractions[sc]
         for sc in ("10-19", "20-49", "50-249", "250+"):
             assert sel_totals[sc] == pytest.approx(class_totals[sc], rel=1e-9)
         assert sum(sel_totals.values()) == pytest.approx(1_000_000.0, rel=1e-9)
@@ -162,11 +170,19 @@ class TestT3Selection:
             select_t3_enterprises(frame, T3Tier.FIVE_MILLION)
 
     def test_proration_is_uniform_across_cells(self, frame):
-        selected = select_t3_enterprises(frame, T3Tier.ONE_MILLION)
+        # The cap cuts only the 0-9 class: each T3 item loses the same
+        # fraction of its cell's 0-9 enterprises.
+        whole = {(i.region, i.geotype): i.enterprise_locations
+                 for i in demand_t3(frame, BASELINE)}
+        capped = {(i.region, i.geotype): i.enterprise_locations
+                  for i in demand_t3(frame, MIN)}
+        assert MIN.t3_tier is T3Tier.ONE_MILLION and capped.keys() == whole.keys()
+        cells = cell_enterprises(frame)
         fractions = set()
-        for key, count in frame.enterprises.items():
-            if key[2] == "0-9" and count > 0:
-                fractions.add(round(selected[key] / count, 12))
+        for key in whole:
+            count = cells[(*key, "0-9")]
+            if count > 0:
+                fractions.add(round((whole[key] - capped[key]) / count, 12))
         assert len(fractions) == 1
 
 
@@ -225,14 +241,14 @@ class TestDemands:
         items = demand_t3(frame, BASELINE)
         total = sum(i.quantity for i in items)
         expected = sum(ENTERPRISE_EQUIVALENTS[sc] * n
-                       for (_, _, sc), n in frame.enterprises.items())
+                       for (_, _, sc), n in cell_enterprises(frame).items())
         assert total == pytest.approx(expected, rel=1e-9)
         assert all(i.required_action is CostAction.FTTH_NEW for i in items)
 
     def test_t3_items_carry_enterprise_locations(self, frame):
         items = demand_t3(frame, BASELINE)
         locations = sum(i.enterprise_locations for i in items)
-        assert locations == pytest.approx(sum(frame.enterprises.values()), rel=1e-9)
+        assert locations == pytest.approx(sum(cell_enterprises(frame).values()), rel=1e-9)
 
     def test_t4_covers_all_premises(self, frame):
         items = demand_t4(frame, BASELINE)

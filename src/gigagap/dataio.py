@@ -14,6 +14,7 @@ import functools
 import json
 import logging
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from operator import attrgetter, itemgetter
@@ -101,9 +102,10 @@ class Dataset:
     and per-geotype population and area); no single locality is kept.
     Read-only once loaded. gap.prepare_inputs caches in `store`, while the
     dataset lives: ("base", relax) -> frame, coverage state and region
-    summaries; ("cells", relax, cost ranking) -> {stage key: sorted cells
-    as first priced; run key: its netting order}. dataclasses.replace makes
-    a variant with an empty store.
+    summaries; ("cells", relax, cost ranking) -> a gap.CellTable, the
+    distinct cells priced under that ranking as columns, with each stage
+    key's rows and each run key's composed rows and netting order.
+    dataclasses.replace makes a variant with an empty store.
     """
 
     path: Path | None
@@ -627,9 +629,10 @@ def eu_cable_fibre_bands() -> dict[str, tuple[str, str]]:
 # ---------------------------------------------------------------------------
 # report writing
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
-    """Write one CSV, creating its directory. csv.writer writes a float as
-    its repr, so the text is lossless."""
+def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> Path:
+    """Write one CSV, creating its directory. rows may be a generator, so
+    that no list of row lists is built. csv.writer writes a float as its
+    repr, so the text is lossless."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -699,8 +702,8 @@ def write_reports(report: "GapReport", out_dir: str | Path) -> list[Path]:
             out_dir / "gap_cells.csv",
             ["target", "region", "geotype", "action", "unit", "quantity",
              "unit_cost_eur", "investment_eur"],
-            [[target[c.target], c.region, geotype[c.geotype], action[c.action], unit[c.unit],
-              c.quantity, c.unit_cost_eur, c.investment_eur] for c in report.cells]),
+            ((target[c.target], c.region, geotype[c.geotype], action[c.action], unit[c.unit],
+              c.quantity, c.unit_cost_eur, c.investment_eur) for c in report.cells)),
         _write_json(out_dir / "gap_summary.json", summary),
         _write_csv(
             out_dir / "histogram.csv",
@@ -715,10 +718,10 @@ def write_cost_table(table, out_dir: str | Path) -> Path:
     """Dump base and fully adjusted unit costs for audit, creating out_dir."""
     action_value = _values(CostAction)
     geotype_value = {None: "", **_values(Geotype)}
-    rows = [[action_value[action], geotype_value[geotype], country,
-             table.base[(action, geotype)], table.adjusted[(action, geotype, country)]]
-            for action, geotype, country in table.adjusted]
-    rows.sort(key=itemgetter(0, 1, 2))
+    keys = sorted(table.adjusted, key=lambda k: (action_value[k[0]], geotype_value[k[1]], k[2]))
+    rows = ((action_value[action], geotype_value[geotype], country,
+             table.base[(action, geotype)], table.adjusted[(action, geotype, country)])
+            for action, geotype, country in keys)
     return _write_csv(Path(out_dir) / "cost_table.csv",
                       ["action", "geotype", "country", "base_eur", "adjusted_eur"], rows)
 
@@ -727,8 +730,8 @@ def write_coverage_points(state, out_dir: str | Path) -> Path:
     """Dump the disaggregated coverage state for inspection, creating out_dir."""
     geotype_value, tech_value = _values(Geotype), _values(TechClass)
     keys = sorted(state.entries, key=lambda k: (k[0], _GEOTYPE_ORDER[k[1]], tech_value[k[2]]))
-    rows = [[region, geotype_value[g], tech_value[t], state.entries[region, g, t]]
-            for region, g, t in keys]
+    rows = ((region, geotype_value[g], tech_value[t], state.entries[region, g, t])
+            for region, g, t in keys)
     return _write_csv(Path(out_dir) / "coverage_point.csv",
                       ["region", "geotype", "technology", "coverage"], rows)
 

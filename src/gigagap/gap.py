@@ -15,16 +15,18 @@ import logging
 import math
 import statistics
 from array import array
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import InitVar, dataclass, field, replace
+from functools import partial
+from operator import attrgetter
 
 from . import coverage as cov
 from . import geo
 from . import targets as tg
-from .costs import _WIRELESS_ACTIONS, TRANSPORT_ACTIONS, CostAction, CostTable, check_sharing
+from .costs import _WIRELESS_ACTIONS, CostAction, CostTable, check_sharing
 from .coverage import CoverageState, TechClass
 from .errors import CostTableError, DataError
-from .geo import _GEOTYPE_ORDER, GeoFrame, Geotype
+from .geo import _GEOTYPE_ORDER, GEOTYPES_DENSEST_FIRST, GeoFrame, Geotype
 from .targets import DemandItem, Scenario, Target, Unit
 
 log = logging.getLogger(__name__)
@@ -32,7 +34,17 @@ log = logging.getLogger(__name__)
 _ACTION_ORDER = {a: i for i, a in enumerate(CostAction)}
 _TARGET_ORDER = {t: i for i, t in enumerate(Target)}
 _TOTAL_KEYS = {t: t.value.lower() for t in Target}  # T2_URBAN -> "t2_urban"
-_UNIT_VALUE = {u: u.value for u in Unit}
+
+# Members read as module constants: Python 3.11's EnumType defines
+# __getattr__, which makes reading a member such as Target.T3 slow.
+_TARGETS, _ACTIONS = tuple(Target), tuple(CostAction)
+_T1, _T2_URBAN, _T2_TRANSPORT, _T3, _T4 = _TARGETS
+_PREMISES = Unit.PREMISES
+_GEOTYPES = GEOTYPES_DENSEST_FIRST
+_EXTREMELY_RURAL = _GEOTYPES[-1]
+# Unit codes follow the units' values, which order a report's cells.
+_UNITS_BY_CODE = tuple(sorted(Unit, key=attrgetter("value")))
+_UNIT_ORDER = {u: i for i, u in enumerate(_UNITS_BY_CODE)}
 
 # Upgrade route offered by each already-deployed technology.
 UPGRADE_ROUTES = {
@@ -59,8 +71,9 @@ _GIGABIT_OR_5G = _GIGABIT | _FIVE_G_ONLY
 class GapCell:
     """Investment needed for one (target, region, geotype, action).
 
-    Read-only once built: the reports run from one PreparedInputs share
-    their cells through PreparedInputs.store."""
+    Read-only once built: a PreparedInputs holds one cell per row of its
+    CellTable, and every stage and report run from it that has the row
+    shares that cell."""
 
     target: Target
     region: str
@@ -175,17 +188,18 @@ def _item_paths(item: DemandItem, country: geo.Country, scenario: Scenario):
     """Satisfying technologies, admissible upgrade routes and the new
     build action (the item's required action) for one demand item.
     The first two are always module constants."""
-    if item.target in (Target.T1, Target.T2_URBAN):
+    target = item.target
+    if target is _T1 or target is _T2_URBAN:
         return _FIVE_G_ONLY, _NO_ROUTES, item.required_action
-    if item.target not in (Target.T3, Target.T4):
-        raise DataError(f"no path rules for target {item.target}")
+    if target is not _T3 and target is not _T4:
+        raise DataError(f"no path rules for target {target}")
 
-    if item.target is Target.T3 and item.geotype is Geotype.EXTREMELY_RURAL:
+    if target is _T3 and item.geotype is _EXTREMELY_RURAL:
         # Enterprises out here need full fibre; cable does not count.
         return _FTTH_1G_ONLY, _FIXED_ROUTES, item.required_action
     routes = (UPGRADE_ROUTES if country.cable_dominant and scenario.docsis_upgrade
               else _FIXED_ROUTES)
-    if item.target is Target.T4 and item.required_action.wireless:
+    if target is _T4 and item.required_action in _WIRELESS_ACTIONS:
         # T4 served by 5G here, so existing 5G already meets it
         return _GIGABIT_OR_5G, routes, item.required_action
     return _GIGABIT, routes, item.required_action
@@ -231,18 +245,21 @@ def footprint_partition(state: CoverageState, region: str, geotype: Geotype,
     return satisfied, slices
 
 
-def cost_ranking(table: CostTable) -> tuple:
+def cost_ranking(table: CostTable) -> tuple[tuple, dict]:
     """Hashable weak order of every adjusted unit cost in the table, across
-    actions, geotypes (None: per km) and countries, ties marked.
+    actions, geotypes (None: per km) and countries, ties marked; and each
+    cost key's position in that order, from the same sort.
 
     Costs are compared only through < and ==: by footprint_partition
     within one (geotype, country), and by _netting_order across all the
     cells of a run. So under two tables with the same ranking, the same
-    cells get the same slices and the same netting order."""
-    ranked = sorted((cost, _ACTION_ORDER[action], _GEOTYPE_ORDER.get(geotype, -1), country)
-                    for (action, geotype, country), cost in table.adjusted.items())
-    return tuple((key[1:], i > 0 and key[0] == ranked[i - 1][0])
-                 for i, key in enumerate(ranked))
+    cells get the same slices and the same netting order, and the
+    positions (which the ranking determines) index the same cost keys."""
+    ranked = sorted((cost, _ACTION_ORDER[key[0]], _GEOTYPE_ORDER.get(key[1], -1), key[2], key)
+                    for key, cost in table.adjusted.items())
+    ranking = tuple((entry[1:4], i > 0 and entry[0] == ranked[i - 1][0])
+                    for i, entry in enumerate(ranked))
+    return ranking, {entry[4]: i for i, entry in enumerate(ranked)}
 
 
 def gap_for_item(item: DemandItem, state: CoverageState, table: CostTable,
@@ -254,13 +271,12 @@ def gap_for_item(item: DemandItem, state: CoverageState, table: CostTable,
     footprint that already satisfies the demand and split over the
     cheapest admissible routes. That split depends only on the cell,
     its route rule, the state and the table, so it is kept in
-    `partitions`, which _priced_cells creates for one pricing call and
-    hands to every item it prices; with None it is computed for this
-    item alone.
+    `partitions`, which _price creates for one pricing call and hands to
+    every item it prices; with None it is computed for this item alone.
     """
     country = frame.countries[frame.regions[item.region].country]
 
-    if item.unit in (Unit.KM_ROAD, Unit.KM_RAIL):
+    if item.unit is not _PREMISES:
         if item.quantity <= 0:
             return []
         unit_cost = table.unit_cost(item.required_action, None, country.code)
@@ -309,7 +325,7 @@ def dedup_t3_over_t4(items: list[DemandItem], scenario: Scenario) -> list[Demand
     """
     out = []
     for item in items:
-        if item.target is not Target.T3:
+        if item.target is not _T3:
             raise DataError("dedup_t3_over_t4 expects T3 items only")
         if scenario.t4_is_wireless(item.geotype):
             out.append(item)
@@ -321,112 +337,212 @@ def dedup_t3_over_t4(items: list[DemandItem], scenario: Scenario) -> list[Demand
     return out
 
 
-def _sorted_cells(cells: list[GapCell]) -> list[GapCell]:
-    return sorted(cells, key=lambda c: (
-        _TARGET_ORDER[c.target], c.region, _GEOTYPE_ORDER[c.geotype],
-        _ACTION_ORDER[c.action], _UNIT_VALUE[c.unit],
-    ))
-
-
 # The pricing stage of the composed T3 list: T3 net of T4 (dedup_t3_over_t4).
 T3_COMPOSED = "t3_composed"
 
-# Pricing stage -> the Scenario fields that its sorted cells read, besides
-# the PreparedInputs. Its key in PreparedInputs.store is the stage and these
+# Pricing stage -> the Scenario fields that its rows read, besides
+# the PreparedInputs. Its key in CellTable.stages is the stage and these
 # fields' values: a field missing here would hand one scenario the cells of
 # another.
 PRICED_KEYS = {
-    Target.T1: ("t1_quality",),
-    Target.T2_URBAN: ("t2_quality",),
-    Target.T2_TRANSPORT: ("t2_quality",),
-    Target.T3: ("t3_tier", "docsis_upgrade"),
-    Target.T4: ("t4_wireless", "docsis_upgrade"),
+    _T1: ("t1_quality",),
+    _T2_URBAN: ("t2_quality",),
+    _T2_TRANSPORT: ("t2_quality",),
+    _T3: ("t3_tier", "docsis_upgrade"),
+    _T4: ("t4_wireless", "docsis_upgrade"),
     T3_COMPOSED: ("t3_tier", "t4_wireless", "docsis_upgrade"),
 }
 
 
-def _repriced(cells: tuple[GapCell, ...], table: CostTable, frame: GeoFrame) -> tuple:
-    """Cells priced under a table with the same cost_ranking, at this
-    table's unit costs: the entry a fresh partition would pick. Tables that
-    rank alike hold the same keys, so each lookup is table.unit_cost's."""
-    regions, adjusted = frame.regions, table.adjusted
-    return tuple(GapCell(c.target, c.region, c.geotype, c.unit, c.action, c.quantity,
-                         adjusted[c.action, None if c.action in TRANSPORT_ACTIONS else c.geotype,
-                                  regions[c.region].country])
-                 for c in cells)
+@dataclass(eq=False)
+class CellTable:
+    """The distinct cells priced under one cost_ranking, as columns.
 
+    One row per distinct cell (target, region, geotype, unit, action,
+    quantity; its cost key follows from action, geotype and the region's
+    country), appended as first priced and never changed. A row keeps
+    small-int codes for the five identity fields, its quantity as the
+    float first priced, its cost key's position in the ranking (positions,
+    from cost_ranking), and its identity code. Region codes follow sorted
+    region ids, unit codes the units' values and the others their enums'
+    order, so identity codes (see _price) sort as a report's cells:
+    target, region, geotype, action, unit.
 
-def _priced_cells(prepared: PreparedInputs, scenario: Scenario,
-                  stages: list) -> tuple[tuple, dict]:
-    """The stages' priced keys, and stage -> its sorted cells (a tuple),
-    from prepared.store, else repriced from prepared.shared.
-
-    Demands are built, in one build_demands call, only for the stages
-    whose key misses both; the composed T3 list comes from T3's demands.
+    stages: PRICED_KEYS stage key -> its rows in that order. runs: ("run",
+    a run's stage keys) -> its composed rows, then the indices into them
+    of its fixed and of its wireless cells in netting order. Every
+    PreparedInputs whose table ranks alike prices the rows at its own
+    costs with one gather (_gather).
     """
-    keys = {stage: (stage, *(getattr(scenario, f) for f in PRICED_KEYS[stage]))
-            for stage in stages}
-    store, shared = prepared.store, prepared.shared
-    for key in keys.values():
-        if key not in store and key in shared:
-            store[key] = _repriced(shared[key], prepared.table, prepared.frame)
-    missing = [stage for stage in stages if keys[stage] not in store]
-    if missing:
-        demands = tg.build_demands(prepared.frame, scenario,
-                                   {Target.T3 if s is T3_COMPOSED else s for s in missing})
-        if T3_COMPOSED in missing:
-            demands[T3_COMPOSED] = dedup_t3_over_t4(demands[Target.T3], scenario)
-        # The splits live for this call only: its stages share cells, but a
-        # later call prices only keys that no earlier call priced.
-        args = (prepared.state, prepared.table, prepared.frame, scenario, {})
-        for stage in missing:
-            store[keys[stage]] = shared[keys[stage]] = tuple(_sorted_cells(
-                [cell for item in demands[stage] for cell in gap_for_item(item, *args)]))
-    return tuple(keys.values()), {stage: store[keys[stage]] for stage in stages}
+
+    positions: dict
+    frame: InitVar[GeoFrame]
+    region_ids: list[str] = field(init=False)
+    region_codes: dict[str, int] = field(init=False)
+    countries: list[str] = field(init=False)  # each region code's country
+    target: array = field(default_factory=partial(array, "B"))
+    region: array = field(default_factory=partial(array, "I"))
+    geotype: array = field(default_factory=partial(array, "B"))
+    unit: array = field(default_factory=partial(array, "B"))
+    action: array = field(default_factory=partial(array, "B"))
+    quantity: list[float] = field(default_factory=list)
+    rank: array = field(default_factory=partial(array, "I"))
+    identity: array = field(default_factory=partial(array, "Q"))
+    stages: dict = field(default_factory=dict)
+    runs: dict = field(default_factory=dict)
+
+    def __post_init__(self, frame: GeoFrame):
+        self.region_ids = sorted(frame.regions)
+        self.region_codes = {region: i for i, region in enumerate(self.region_ids)}
+        self.countries = [frame.regions[region].country for region in self.region_ids]
 
 
-def _total(cells: Iterable[GapCell]) -> float:
-    return sum(c.investment_eur for c in cells)
+def _gather(prepared: PreparedInputs, table: CellTable) -> None:
+    """Price the rows of table that prepared holds no cell for yet, at
+    prepared.table's costs: its costs in ranking order, gathered by each
+    row's position, then one GapCell per row, whose investment is the
+    row's entry in the investment column."""
+    start = len(prepared.cells)
+    if start == len(table.quantity):
+        return
+    costs = list(map(prepared.table.adjusted.__getitem__, table.positions))
+    cells = list(map(
+        GapCell, map(_TARGETS.__getitem__, table.target[start:]),
+        map(table.region_ids.__getitem__, table.region[start:]),
+        map(_GEOTYPES.__getitem__, table.geotype[start:]),
+        map(_UNITS_BY_CODE.__getitem__, table.unit[start:]),
+        map(_ACTIONS.__getitem__, table.action[start:]), table.quantity[start:],
+        map(costs.__getitem__, table.rank[start:])))
+    prepared.cells += cells
+    prepared.investment += [cell.investment_eur for cell in cells]
 
 
-def compose_egs(standalone: dict[Target, Sequence[GapCell]],
-                t3_composed: Sequence[GapCell],
-                capitals: frozenset[str]) -> list[GapCell]:
-    """Assemble the overall programme from per-target cells: a new list,
-    their concatenation in Target order.
+def _price(prepared: PreparedInputs, table: CellTable, scenario: Scenario,
+           missing: dict) -> None:
+    """Price the missing stages (stage -> its key) into table, and their
+    new rows' cells into prepared, which must hold a cell for every row.
+
+    Demands are built in one build_demands call; the composed T3 list
+    comes from T3's demands. Per-km items take their action's unit cost;
+    premise items go through gap_for_item, whose splits live for this
+    call only: its stages share cells, but a later call prices only keys
+    that no earlier call priced.
+    """
+    frame, adjusted = prepared.frame, prepared.table.adjusted
+    demands = tg.build_demands(frame, scenario, {_T3 if s is T3_COMPOSED else s for s in missing})
+    if T3_COMPOSED in missing:
+        demands[T3_COMPOSED] = dedup_t3_over_t4(demands[_T3], scenario)
+    args = (prepared.state, prepared.table, frame, scenario, {})
+    cells, investment, positions = prepared.cells, prepared.investment, table.positions
+    # The table's rows by quantity, and by (identity code, quantity) where an
+    # earlier row of another identity has the same quantity: built for this
+    # call only, as kept they would hold objects per row for the dataset's
+    # lifetime.
+    by_quantity, clashes, identity = {}, {}, table.identity
+    for row, (code, quantity) in enumerate(zip(identity, table.quantity)):
+        if by_quantity.setdefault(quantity, row) != row:
+            clashes[code, quantity] = row
+    codes, countries, nregions = table.region_codes, table.countries, len(table.region_ids)
+    for stage, key in missing.items():
+        rows = []
+        for item in demands.pop(stage):
+            region = codes[item.region]
+            country, geotype, unit = countries[region], item.geotype, item.unit
+            if unit is _PREMISES:
+                priced = gap_for_item(item, *args)
+                cost_geotype = geotype
+            elif item.quantity <= 0:
+                continue
+            else:  # per km: one cell at the item's own action, no split
+                cost_key = (item.required_action, None, country)
+                if cost_key not in adjusted:
+                    raise CostTableError([cost_key])
+                priced = (GapCell(item.target, item.region, geotype, unit, item.required_action,
+                                  item.quantity, adjusted[cost_key]),)
+                cost_geotype = None
+            t, g, u = _TARGET_ORDER[item.target], _GEOTYPE_ORDER[geotype], _UNIT_ORDER[unit]
+            item_code = (t * nregions + region) * len(_GEOTYPES) + g
+            for cell in priced:
+                a = _ACTION_ORDER[cell.action]
+                code = (item_code * len(_ACTIONS) + a) * len(_UNITS_BY_CODE) + u
+                row = by_quantity.get(cell.quantity)
+                if row is not None and identity[row] != code:
+                    row = clashes.get((code, cell.quantity))
+                if row is None:
+                    rank = positions[cell.action, cost_geotype, country]
+                    row = len(cells)
+                    if by_quantity.setdefault(cell.quantity, row) != row:
+                        clashes[code, cell.quantity] = row
+                    table.target.append(t)
+                    table.region.append(region)
+                    table.geotype.append(g)
+                    table.unit.append(u)
+                    table.action.append(a)
+                    table.quantity.append(cell.quantity)
+                    table.rank.append(rank)
+                    identity.append(code)
+                    cells.append(cell)
+                    investment.append(cell.investment_eur)
+                rows.append(row)
+        table.stages[key] = array("I", sorted(rows, key=identity.__getitem__))
+
+
+def compose_egs(standalone: dict[Target, Sequence[int]], t3_composed: Sequence[int],
+                capitals: frozenset[int], region: Sequence[int]) -> array:
+    """Assemble the overall programme from per-target rows of a CellTable:
+    a new array, their concatenation in Target order.
 
     T1 already covers the urban side of T2 inside capital regions, so
-    those T2 cells drop out. The T3 cells passed in must already be
-    deduplicated against T4. Every sequence passed in must be sorted as
-    _sorted_cells sorts.
+    those T2 rows drop out (capitals: region codes; region: the table's
+    region column). The T3 rows passed in must already be deduplicated
+    against T4. Every sequence passed in must be in its stage's order.
     """
-    return [*standalone[Target.T1],
-            *(c for c in standalone[Target.T2_URBAN] if c.region not in capitals),
-            *standalone[Target.T2_TRANSPORT], *t3_composed, *standalone[Target.T4]]
+    return array("I", [*standalone[_T1],
+                       *(r for r in standalone[_T2_URBAN] if region[r] not in capitals),
+                       *standalone[_T2_TRANSPORT], *t3_composed, *standalone[_T4]])
 
 
-def _derive(standalone: dict, t3_composed: Sequence[GapCell] | None, cells: list[GapCell],
-            frame: GeoFrame, regions: dict[str, RegionSummary]) -> tuple:
+def _composed_rows(table: CellTable, stage_rows: dict, frame: GeoFrame) -> array:
+    """A run's rows in report order: its stages' rows in Target order, or
+    compose_egs's programme when the run composes T3 net of T4."""
+    standalone = dict(stage_rows)
+    t3_composed = standalone.pop(T3_COMPOSED, None)
+    if t3_composed is None:
+        return array("I", [row for rows in standalone.values() for row in rows])
+    capitals = frozenset(table.region_codes[c.capital_region] for c in frame.countries.values())
+    return compose_egs(standalone, t3_composed, capitals, table.region)
+
+
+def _derive(table: CellTable, investment: list[float], stage_rows: dict, composed: array,
+            cells: list[GapCell], frame: GeoFrame, regions: dict[str, RegionSummary]) -> tuple:
     """A run's totals, country and geotype totals and run total, each
-    summed in cell order; t3_composed is None if not composed."""
-    totals = {_TOTAL_KEYS[t]: _total(target_cells) for t, target_cells in standalone.items()}
-    if t3_composed is not None:
-        totals["t2_after_t1"] = (_total(c for c in cells if c.target is Target.T2_URBAN)
+    summed in row order from the investment and code columns; cells are
+    the composed rows' cells, which the households view reads."""
+    totals = {_TOTAL_KEYS[stage]: sum([investment[r] for r in rows])
+              for stage, rows in stage_rows.items() if stage is not T3_COMPOSED}
+    if T3_COMPOSED in stage_rows:
+        # compose_egs keeps T1's rows, then T2 urban's outside the capitals.
+        t1 = len(stage_rows[_T1])
+        kept = len(composed) - t1 - sum(len(stage_rows[s])
+                                         for s in (_T2_TRANSPORT, T3_COMPOSED, _T4))
+        totals["t2_after_t1"] = (sum([investment[r] for r in composed[t1:t1 + kept]])
                                  + totals["t2_transport"])
-        totals["t3_composed"] = _total(t3_composed)
+        totals["t3_composed"] = sum([investment[r] for r in stage_rows[T3_COMPOSED]])
         totals["egs_premises"] = totals["t1"] + totals["t2_after_t1"] + totals["t4"]
         totals["egs_premises_companies"] = totals["egs_premises"] + totals["t3_composed"]
         totals["egs_households"] = _households_total(cells, regions)
     country_totals = {code: 0.0 for code in sorted(frame.countries)}
-    geotype_totals = {g: 0.0 for g in Geotype}
-    for c in cells:
-        country_totals[frame.regions[c.region].country] += c.investment_eur
-        geotype_totals[c.geotype] += c.investment_eur
-    total = _total(cells)
+    by_geotype = [0.0] * len(_GEOTYPES)
+    countries, region, geotype = table.countries, table.region, table.geotype
+    for r in composed:
+        amount = investment[r]
+        country_totals[countries[region[r]]] += amount
+        by_geotype[geotype[r]] += amount
+    total = sum([investment[r] for r in composed])
     if not math.isfinite(total):
         raise DataError(f"the run's total investment overflows to {total}: some "
                         "quantity times its unit cost is too large for a float")
-    return totals, country_totals, geotype_totals, total
+    return totals, country_totals, dict(zip(_GEOTYPES, by_geotype)), total
 
 
 def _households_total(cells: list[GapCell], regions: dict[str, RegionSummary]) -> float:
@@ -438,9 +554,9 @@ def _households_total(cells: list[GapCell], regions: dict[str, RegionSummary]) -
               for rid, s in regions.items()}
     total = 0.0
     for c in cells:
-        if c.target is Target.T3:
+        if c.target is _T3:
             continue
-        if c.unit is Unit.PREMISES:
+        if c.unit is _PREMISES:
             total += c.investment_eur * ratios[c.region]
         else:
             total += c.investment_eur
@@ -452,16 +568,15 @@ class PreparedInputs:
     """Scenario-independent pipeline inputs, reusable across runs.
 
     frame, state, table and regions (None: derived per run) are read-only
-    once prepared, as every report run from these inputs shares them and
-    the cells in store. store, while these inputs live: PRICED_KEYS stage
-    key -> its sorted cells at this table; ("run", a run's stage keys) ->
-    _derive's totals and the run total. shared, for every table that ranks
-    alike: stage key -> sorted cells as first priced; ("run", stage keys)
-    -> _netting_order of the run's composed cells, two index arrays that
-    netting walks in the report's cells. prepare_inputs makes it the
-    dataset's ("cells", relax, cost_ranking) entry. options: those
-    prepare_inputs used. Inputs built or replaced by hand (with
-    dataclasses.replace too) start with empty, private store and shared.
+    once prepared, as every report run from these inputs shares them.
+    shared: the CellTable of every cost table that ranks alike;
+    prepare_inputs makes it the dataset's ("cells", relax, cost_ranking)
+    entry. cells and investment: one GapCell and its investment per row
+    of shared, at this table's costs; the reports share the cells.
+    store: ("run", a run's stage keys) -> _derive's totals and the run
+    total at this table. options: those prepare_inputs used. Inputs
+    built or replaced by hand (with dataclasses.replace too) start with
+    empty, private store and cells, and shared None until their first run.
     """
 
     frame: GeoFrame
@@ -469,14 +584,17 @@ class PreparedInputs:
     table: CostTable
     regions: dict[str, RegionSummary] | None = None
     store: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    shared: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    shared: CellTable | None = field(default=None, init=False, compare=False, repr=False)
+    cells: list[GapCell] = field(default_factory=list, init=False, compare=False, repr=False)
+    investment: list[float] = field(default_factory=list, init=False, compare=False,
+                                    repr=False)
     options: RunOptions | None = field(default=None, init=False, compare=False, repr=False)
 
 
 def prepare_inputs(dataset, options: RunOptions | None = None) -> PreparedInputs:
     """Build the cost table for a dataset. The frame, coverage state and
     region summaries come from dataset.store, built on the first call with
-    these relax_intervals; shared is its entry for the table's cost_ranking."""
+    these relax_intervals; shared is its CellTable for the table's cost_ranking."""
     from .costs import build_cost_table
 
     options = options or RunOptions()
@@ -489,7 +607,11 @@ def prepare_inputs(dataset, options: RunOptions | None = None) -> PreparedInputs
     table = build_cost_table(dataset.cost_references, frame.countries,
                              dataset.price_index, options.sharing_fraction)
     prepared = PreparedInputs(frame=frame, state=state, table=table, regions=regions)
-    prepared.shared = store.setdefault(("cells", relax, cost_ranking(table)), {})
+    ranking, positions = cost_ranking(table)
+    shared = store.get(("cells", relax, ranking))
+    if shared is None:
+        shared = store["cells", relax, ranking] = CellTable(positions, frame)
+    prepared.shared = shared
     prepared.options = options
     return prepared
 
@@ -503,10 +625,10 @@ def run_scenario(dataset, scenario: Scenario, options: RunOptions | None = None,
                  only_targets: set[Target] | None = None,
                  prepared: PreparedInputs | None = None) -> GapReport:
     """Full pipeline for one scenario: frame, coverage, costs, demands,
-    cells, composition and operator subtraction. Cells, totals and
-    netting pools come from prepared.store where an earlier run filled
-    the same keys. options only prepare the inputs: with prepared given,
-    they may be None or must equal those prepare_inputs built it with.
+    cells, composition and operator subtraction. Rows come from
+    prepared.shared where an earlier run priced the same keys, and totals
+    from prepared.store. options only prepare the inputs: with prepared
+    given, they may be None or must equal those prepare_inputs built it with.
 
     Passing operator=None skips the subtraction entirely and leaves
     report.operator unset."""
@@ -518,26 +640,31 @@ def run_scenario(dataset, scenario: Scenario, options: RunOptions | None = None,
             if given != built:
                 raise DataError(f"options {name} is {given}, but the prepared inputs "
                                 f"were built with {built}")
-    frame = prepared.frame
+    frame, table = prepared.frame, prepared.shared
+    if table is None:
+        table = prepared.shared = CellTable(cost_ranking(prepared.table)[1], frame)
     stages = [t for t in Target if only_targets is None or t in only_targets]
     if only_targets is None:
         stages.append(T3_COMPOSED)
-    keys, standalone = _priced_cells(prepared, scenario, stages)
+    keys = {stage: (stage, *(getattr(scenario, f) for f in PRICED_KEYS[stage]))
+            for stage in stages}
+    _gather(prepared, table)
+    missing = {stage: key for stage, key in keys.items() if key not in table.stages}
+    if missing:
+        _price(prepared, table, scenario, missing)
 
     regions = prepared.regions or _region_summaries(dataset, frame, prepared.state)
-
-    t3_composed = standalone.pop(T3_COMPOSED, None)
-    if t3_composed is None:
-        # standalone is in Target order, so this concatenation is sorted
-        cells = [c for target_cells in standalone.values() for c in target_cells]
-    else:
-        capitals = frozenset(c.capital_region for c in frame.countries.values())
-        cells = compose_egs(standalone, t3_composed, capitals)
-    if ("run", keys) not in prepared.store:
-        if ("run", keys) not in prepared.shared:
-            prepared.shared["run", keys] = _netting_order(cells)
-        prepared.store["run", keys] = _derive(standalone, t3_composed, cells, frame, regions)
-    totals, country_totals, geotype_totals, total = prepared.store["run", keys]
+    stage_rows = {stage: table.stages[key] for stage, key in keys.items()}
+    run_key = ("run", tuple(keys.values()))
+    composed = (table.runs[run_key][0] if run_key in table.runs
+                else _composed_rows(table, stage_rows, frame))
+    cells = list(map(prepared.cells.__getitem__, composed))
+    if run_key not in table.runs:
+        table.runs[run_key] = (composed, *_netting_order(cells))
+    if run_key not in prepared.store:
+        prepared.store[run_key] = _derive(table, prepared.investment, stage_rows, composed,
+                                          cells, frame, regions)
+    totals, country_totals, geotype_totals, total = prepared.store[run_key]
 
     report = GapReport(
         scenario=scenario, scenario_name=scenario_name, vintage=dataset.vintage,
@@ -546,7 +673,7 @@ def run_scenario(dataset, scenario: Scenario, options: RunOptions | None = None,
     )
     if operator is None:
         return report
-    return subtract_operator_investment(report, operator, (*prepared.shared["run", keys], total))
+    return subtract_operator_investment(report, operator, (*table.runs[run_key][1:], total))
 
 
 def _region_summaries(dataset, frame: GeoFrame, state: CoverageState) -> dict[str, RegionSummary]:
@@ -555,7 +682,7 @@ def _region_summaries(dataset, frame: GeoFrame, state: CoverageState) -> dict[st
         region = frame.regions[region_id]
         to_cover = 0.0
         total = 0.0
-        for g in Geotype:
+        for g in _GEOTYPES:
             premises = frame.premises[(region_id, g)]
             total += premises
             footprint = state.footprint_over(region_id, g, _GIGABIT)
@@ -604,7 +731,7 @@ def subtract_operator_investment(report: GapReport, operator: OperatorInvestment
         return pool - left, used_by_region
 
     if pools is None:
-        pools = (*_netting_order(cells), _total(cells))
+        pools = (*_netting_order(cells), sum(c.investment_eur for c in cells))
     fixed_order, wireless_order, total = pools
     fixed_used, fixed_by_region = consume(fixed_order, operator.fixed_pool_eur)
     wireless_used, wl_by_region = consume(wireless_order, operator.wireless_pool_eur)
@@ -721,7 +848,7 @@ def breakdown(report: GapReport, dimension: str) -> list[dict]:
         for g in Geotype:
             cells = [c for c in report.cells if c.geotype is g]
             inv = sum(c.investment_eur for c in cells)
-            premise_cells = [c for c in cells if c.unit is Unit.PREMISES]
+            premise_cells = [c for c in cells if c.unit is _PREMISES]
             premises_gap = sum(c.quantity for c in premise_cells)
             premise_inv = sum(c.investment_eur for c in premise_cells)
             rows.append({
@@ -745,7 +872,7 @@ def breakdown(report: GapReport, dimension: str) -> list[dict]:
                          else "non_cohesion")
     if dimension == BreakdownDimension.HOUSEHOLDS_VS_PREMISES:
         households = _households_total(report.cells, report.regions)
-        premises = sum(c.investment_eur for c in report.cells if c.target is not Target.T3)
+        premises = sum(c.investment_eur for c in report.cells if c.target is not _T3)
         everything = total
         return [
             {"category": "households", "investment_eur": households,

@@ -20,7 +20,7 @@ from enum import Enum
 
 from .costs import CostAction
 from .errors import DataError
-from .geo import SIZE_CLASSES, GeoFrame, Geotype, ModelEnum
+from .geo import GEOTYPES_DENSEST_FIRST, SIZE_CLASSES, GeoFrame, Geotype, ModelEnum
 
 
 class Quality(ModelEnum):
@@ -52,11 +52,14 @@ class T4WirelessScope(ModelEnum):
     ALL_THREE_RURAL = "all_three_rural"
 
 
+# The demand builders run once per region and geotype. Python 3.11's
+# EnumType defines __getattr__, which makes reading a member such as
+# Geotype.URBAN slow, so the loops read these constants (as geo.classify does).
+_URBAN, _SUBURBAN, _SEMI_RURAL, _RURAL, _EXTREMELY_RURAL = GEOTYPES_DENSEST_FIRST
+
 _WIRELESS_GEOTYPES = {
-    T4WirelessScope.EXTREMELY_RURAL_ONLY: frozenset({Geotype.EXTREMELY_RURAL}),
-    T4WirelessScope.ALL_THREE_RURAL: frozenset({
-        Geotype.SEMI_RURAL, Geotype.RURAL, Geotype.EXTREMELY_RURAL,
-    }),
+    T4WirelessScope.EXTREMELY_RURAL_ONLY: frozenset({_EXTREMELY_RURAL}),
+    T4WirelessScope.ALL_THREE_RURAL: frozenset({_SEMI_RURAL, _RURAL, _EXTREMELY_RURAL}),
 }
 
 
@@ -154,6 +157,11 @@ class Unit(ModelEnum):
     KM_RAIL = "km_rail"
 
 
+_T1, _T2_URBAN, _T2_TRANSPORT, _T3, _T4 = Target
+_PREMISES, _KM_ROAD, _KM_RAIL = Unit
+_FTTH_NEW, _FIVE_G_NOMINAL = CostAction.FTTH_NEW, CostAction.FIVE_G_NOMINAL
+
+
 # Household-equivalent gigabit connections per enterprise, by employee
 # size class (roughly one per five employees, floor of two).
 ENTERPRISE_EQUIVALENTS = {
@@ -222,8 +230,8 @@ def t4_action(scenario: Scenario, geotype: Geotype) -> CostAction:
     """Build action for T4 in a geotype: fibre, or nominal 5G where the
     scenario serves the geotype wirelessly."""
     if scenario.t4_is_wireless(geotype):
-        return CostAction.FIVE_G_NOMINAL
-    return CostAction.FTTH_NEW
+        return _FIVE_G_NOMINAL
+    return _FTTH_NEW
 
 
 def demand_t1(frame: GeoFrame, scenario: Scenario) -> list[DemandItem]:
@@ -234,11 +242,10 @@ def demand_t1(frame: GeoFrame, scenario: Scenario) -> list[DemandItem]:
         capital = frame.countries[code].capital_region
         if capital not in frame.regions:
             raise DataError(f"country {code}: capital region {capital} not in dataset")
-        for g in Geotype:
+        for g in GEOTYPES_DENSEST_FIRST:
             quantity = frame.premises[(capital, g)]
             if quantity > 0:
-                items.append(DemandItem(Target.T1, capital, g, Unit.PREMISES,
-                                        quantity, action))
+                items.append(DemandItem(_T1, capital, g, _PREMISES, quantity, action))
     return items
 
 
@@ -248,10 +255,10 @@ def demand_t2(frame: GeoFrame, scenario: Scenario) -> list[DemandItem]:
     items = []
     premise_action = _FIVE_G_PREMISE[scenario.t2_quality]
     for region_id in sorted(frame.regions):
-        for g in (Geotype.URBAN, Geotype.SUBURBAN):
+        for g in (_URBAN, _SUBURBAN):
             quantity = frame.premises[(region_id, g)]
             if quantity > 0:
-                items.append(DemandItem(Target.T2_URBAN, region_id, g, Unit.PREMISES,
+                items.append(DemandItem(_T2_URBAN, region_id, g, _PREMISES,
                                         quantity, premise_action))
 
     road_action = _FIVE_G_ROAD[scenario.t2_quality]
@@ -265,18 +272,18 @@ def demand_t2(frame: GeoFrame, scenario: Scenario) -> list[DemandItem]:
         for region_id in member:
             region_share = frame.regions[region_id].area_km2 / total_area
             area_share = frame.profiles[region_id].area_share
-            for g in Geotype:
+            for g in GEOTYPES_DENSEST_FIRST:
                 share = region_share * area_share[g]
                 if share <= 0:
                     continue
                 road_km = country.road_km * share
                 rail_km = country.rail_km * share
                 if road_km > 0:
-                    items.append(DemandItem(Target.T2_TRANSPORT, region_id, g,
-                                            Unit.KM_ROAD, road_km, road_action))
+                    items.append(DemandItem(_T2_TRANSPORT, region_id, g,
+                                            _KM_ROAD, road_km, road_action))
                 if rail_km > 0:
-                    items.append(DemandItem(Target.T2_TRANSPORT, region_id, g,
-                                            Unit.KM_RAIL, rail_km, rail_action))
+                    items.append(DemandItem(_T2_TRANSPORT, region_id, g,
+                                            _KM_RAIL, rail_km, rail_action))
     return items
 
 
@@ -330,8 +337,7 @@ def demand_t3(frame: GeoFrame, scenario: Scenario) -> list[DemandItem]:
             equivalents = household_equivalents(counts)
             locations = sum(counts.values())
             if equivalents > 0:
-                items.append(DemandItem(Target.T3, region_id, g, Unit.PREMISES,
-                                        equivalents, CostAction.FTTH_NEW,
+                items.append(DemandItem(_T3, region_id, g, _PREMISES, equivalents, _FTTH_NEW,
                                         enterprise_locations=locations))
     return items
 
@@ -341,16 +347,16 @@ def demand_t4(frame: GeoFrame, scenario: Scenario) -> list[DemandItem]:
     the scenario's wireless scope."""
     items = []
     for region_id in sorted(frame.regions):
-        for g in Geotype:
+        for g in GEOTYPES_DENSEST_FIRST:
             quantity = frame.premises[(region_id, g)]
             if quantity <= 0:
                 continue
-            items.append(DemandItem(Target.T4, region_id, g, Unit.PREMISES,
+            items.append(DemandItem(_T4, region_id, g, _PREMISES,
                                     quantity, t4_action(scenario, g)))
     return items
 
 
-_BUILDERS = {Target.T1: demand_t1, Target.T3: demand_t3, Target.T4: demand_t4}
+_BUILDERS = {_T1: demand_t1, _T3: demand_t3, _T4: demand_t4}
 
 
 def build_demands(frame: GeoFrame, scenario: Scenario,
@@ -359,7 +365,6 @@ def build_demands(frame: GeoFrame, scenario: Scenario,
     keyed by target in Target order. Both T2 flavours, each under its
     own key, come from one demand_t2 call."""
     wanted = [t for t in Target if targets is None or t in targets]
-    t2 = (demand_t2(frame, scenario)
-          if Target.T2_URBAN in wanted or Target.T2_TRANSPORT in wanted else [])
+    t2 = demand_t2(frame, scenario) if _T2_URBAN in wanted or _T2_TRANSPORT in wanted else []
     return {t: _BUILDERS[t](frame, scenario) if t in _BUILDERS
             else [i for i in t2 if i.target is t] for t in wanted}

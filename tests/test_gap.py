@@ -39,7 +39,7 @@ from gigagap.gap import (
     run_scenario,
     subtract_operator_investment,
 )
-from gigagap.gap import RegionSummary, _item_paths, _sorted_cells
+from gigagap.gap import RegionSummary, _item_paths
 from gigagap.geo import Geotype, build_frame
 from gigagap.targets import (
     SCENARIO_PRESETS,
@@ -317,7 +317,7 @@ class TestRunScenario:
         standalone = run_scenario(dataset, BASELINE, prepared=prepared,
                                   only_targets=set(Target))
         for report in (baseline_report, standalone):
-            assert report.cells == _sorted_cells(report.cells)
+            assert report.cells == sorted_cells(report.cells)
 
         def in_order(report, target):
             return sum(c.investment_eur for c in report.cells if c.target is target)
@@ -358,35 +358,53 @@ class TestRandomDatasetsOnDisk:
                 assert got[key] == pytest.approx(value, rel=1e-6), (seed, name, key)
 
 
+def sorted_cells(cells):
+    """Cells in report order: target, region, geotype, action, unit value."""
+    return sorted(cells, key=lambda c: (gap._TARGET_ORDER[c.target], c.region, c.geotype.order,
+                                        gap._ACTION_ORDER[c.action], c.unit.value))
+
+
 def netting_key(cell):
     return (cell.unit_cost_eur, cell.region, cell.geotype.order,
             gap._TARGET_ORDER[cell.target], gap._ACTION_ORDER[cell.action])
 
 
+def stage_cells(prepared, key):
+    """A stage key's cells at prepared's table: its rows in prepared.shared,
+    each taken as prepared's cell for that row."""
+    return tuple(prepared.cells[row] for row in prepared.shared.stages[key])
+
+
 def run_cells(prepared, key):
     """A run key's report.cells, composed as run_scenario composes them from
-    the stored cells of the key's stages."""
-    standalone = {stage[0]: prepared.store[stage] for stage in key[1]}
+    the rows of the key's stages."""
+    table = prepared.shared
+    standalone = {stage[0]: table.stages[stage] for stage in key[1]}
     t3_composed = standalone.pop(gap.T3_COMPOSED, None)
     if t3_composed is None:
-        return [c for cells in standalone.values() for c in cells]
-    capitals = frozenset(c.capital_region for c in prepared.frame.countries.values())
-    return compose_egs(standalone, t3_composed, capitals)
+        rows = [row for stage_rows in standalone.values() for row in stage_rows]
+    else:
+        capitals = frozenset(table.region_codes[c.capital_region]
+                             for c in prepared.frame.countries.values())
+        rows = compose_egs(standalone, t3_composed, capitals, table.region)
+    return [prepared.cells[row] for row in rows]
 
 
 def store_keys(prepared):
-    """prepared.store's stage keys and run keys. Every stage key is one of
-    PRICED_KEYS's stages, and every stage a run key names is stored. Every
-    run key's netting order is in prepared.shared: one index array of the
-    run's fixed and one of its wireless cells, which together index each of
-    the run's cells once, each array in netting order. The run's stored
-    total is its cells' total."""
-    runs = {key for key in prepared.store if key[0] == "run"}
-    stages = prepared.store.keys() - runs
+    """prepared.shared's stage keys and prepared.store's run keys. Every
+    stage key is one of PRICED_KEYS's stages, every stage a run key names
+    is priced, and every run key is in prepared.shared.runs: its composed
+    rows, then one index array of the run's fixed and one of its wireless
+    cells, which together index each of the run's cells once, each array in
+    netting order. The run's stored total is its cells' total."""
+    runs = set(prepared.store)
+    stages = set(prepared.shared.stages)
+    assert all(key[0] == "run" for key in runs)
     assert all(key[0] in gap.PRICED_KEYS for key in stages)
     assert all(set(key[1]) <= stages for key in runs)
     for key in runs:
-        cells, order = run_cells(prepared, key), prepared.shared[key]
+        cells, (composed, *order) = run_cells(prepared, key), prepared.shared.runs[key]
+        assert cells == [prepared.cells[row] for row in composed]
         fixed, wireless = order
         assert [type(indices) for indices in order] == [array, array]
         assert sorted(itertools.chain(*order)) == list(range(len(cells)))
@@ -400,7 +418,7 @@ def store_keys(prepared):
 
 
 def dataset_entries(data, kind):
-    """data.store's entries of one kind ("base" or "cells"), by key."""
+    """data.store's entries of one kind ("base" or "cells": a CellTable), by key."""
     return {key: value for key, value in data.store.items() if key[0] == kind}
 
 
@@ -484,7 +502,7 @@ class TestPricingMemo:
 
     def test_inputs_never_share_a_memo(self, dataset, partition_calls):
         # Its own dataset copy: the session dataset's store may already
-        # hold baseline cells, and then `prepared` reprices instead of pricing.
+        # hold baseline rows, and then `prepared` gathers instead of pricing.
         dataset = dataclasses.replace(dataset)
         prepared = prepare_inputs(dataset)
         run_scenario(dataset, BASELINE, prepared=prepared)
@@ -534,8 +552,8 @@ class TestSharingSweep:
             for point in self.POINTS:
                 assert self.run(data, point, shared, options) == fresh[sharing, point], (
                     seed, sharing, point)
-            # Only the first input prices and sorts; the others reprice the
-            # dataset's cells and net them in its netting order.
+            # Only the first input prices and sorts; the others gather the
+            # dataset's rows and net them in its netting order.
             runs = store_keys(shared)[1]
             if i == 0:
                 assert len(partition_calls) > 0
@@ -570,19 +588,21 @@ class TestSharingSweep:
         data = dataclasses.replace(dataset)
         prepared = prepare_inputs(data)
         run_scenario(data, BASELINE, prepared=prepared)
-        stored = {key: dict(cells) for key, cells in data.store.items() if key[0] == "cells"}
+        stored = {key: (len(table.quantity), dict(table.stages), dict(table.runs))
+                  for key, table in dataset_entries(data, "cells").items()}
         for copy in (PreparedInputs(frame=prepared.frame, state=prepared.state,
                                     table=prepared.table),
                      dataclasses.replace(prepared)):
-            assert copy.shared == {}
+            assert copy.shared is None and copy.cells == []
             partition_calls.clear()
             run_scenario(data, SCENARIO_PRESETS["max"], prepared=copy)
             assert len(partition_calls) > 0
             stages, runs = store_keys(copy)
             assert stages and runs
-            assert copy.shared.keys() == stages | runs
-            assert all(copy.shared is not cells for cells in data.store.values())
-        assert dataset_entries(data, "cells") == stored
+            assert copy.shared.runs.keys() == runs
+            assert all(copy.shared is not table for table in data.store.values())
+        assert {key: (len(table.quantity), dict(table.stages), dict(table.runs))
+                for key, table in dataset_entries(data, "cells").items()} == stored
 
     def test_a_tie_made_by_scaling_prices_afresh(self, dataset, partition_calls):
         # The FTTC upgrade costs one float step below the FTTH new build in
@@ -688,10 +708,45 @@ class TestSharingSweep:
         assert got == run(dataclasses.replace(data), options)
         # Gathered in the netting order of sharing 0, FR's road cells would
         # net first, and the pool would run out elsewhere.
-        key = next(key for key in tied.store if key[0] == "run")
-        stale = (*plain.shared[key], tied.store[key][3])
+        key = next(iter(tied.store))
+        stale = (*plain.shared.runs[key][1:], tied.store[key][3])
         report = run_scenario(data, BASELINE, options, operator=None, prepared=tied)
         assert subtract_operator_investment(report, operator, stale).operator != got[2]
+
+
+class TestCellTable:
+    """A dataset's cell table holds each distinct cell once, as columns.
+    Every PreparedInputs builds one GapCell per row, which all its stages
+    share, and each stage's cells equal a cold pricing on a fresh dataset."""
+
+    @pytest.mark.parametrize("seed", [None, 3, 17])
+    def test_one_cell_per_distinct_cell_and_stages_as_priced_cold(self, dataset, seed):
+        data = dataclasses.replace(dataset) if seed is None else random_dataset(seed)
+        presets = [SCENARIO_PRESETS[name] for name in ("baseline", "max", "min")]
+        for sharing in (0.0, 0.12):
+            options = RunOptions(sharing_fraction=sharing)
+            prepared = prepare_inputs(data, options)
+            for scenario in presets:
+                run_scenario(data, scenario, options, prepared=prepared)
+            table = prepared.shared
+            assert len(prepared.cells) == len(table.quantity)
+            assert len(set(zip(table.identity, table.quantity))) == len(table.quantity)
+            # Quantities are the floats first priced, shared by every input's cells.
+            assert all(c.quantity is q for c, q in zip(prepared.cells, table.quantity))
+            by_content = {}
+            for key in table.stages:
+                for cell in stage_cells(prepared, key):
+                    assert by_content.setdefault(dataclasses.astuple(cell), cell) is cell, key
+            assert len(by_content) == len(prepared.cells)
+
+            cold_keys = set()
+            for scenario in presets:
+                fresh = prepare_inputs(dataclasses.replace(data), options)
+                run_scenario(data, scenario, options, prepared=fresh)
+                for key in fresh.shared.stages:
+                    assert stage_cells(prepared, key) == stage_cells(fresh, key), (seed, key)
+                cold_keys |= fresh.shared.stages.keys()
+            assert cold_keys == table.stages.keys()
 
 
 class TestNettingPools:

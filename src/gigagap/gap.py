@@ -27,7 +27,8 @@ from .costs import _WIRELESS_ACTIONS, CostAction, CostTable, check_sharing
 from .coverage import CoverageState, TechClass
 from .errors import CostTableError, DataError
 from .geo import _GEOTYPE_ORDER, GEOTYPES_DENSEST_FIRST, GeoFrame, Geotype
-from .targets import DemandItem, Scenario, Target, Unit
+from .targets import (_EXTREMELY_RURAL, _PREMISES, _T1, _T2_TRANSPORT, _T2_URBAN, _T3, _T4,
+                      DemandItem, Scenario, Target, Unit)
 
 log = logging.getLogger(__name__)
 
@@ -35,14 +36,9 @@ _ACTION_ORDER = {a: i for i, a in enumerate(CostAction)}
 _TARGET_ORDER = {t: i for i, t in enumerate(Target)}
 _TOTAL_KEYS = {t: t.value.lower() for t in Target}  # T2_URBAN -> "t2_urban"
 
-# Members read as module constants: Python 3.11's EnumType defines
-# __getattr__, which makes reading a member such as Target.T3 slow.
+# A CellTable's codes index these. Unit codes follow the units' values,
+# which order a report's cells.
 _TARGETS, _ACTIONS = tuple(Target), tuple(CostAction)
-_T1, _T2_URBAN, _T2_TRANSPORT, _T3, _T4 = _TARGETS
-_PREMISES = Unit.PREMISES
-_GEOTYPES = GEOTYPES_DENSEST_FIRST
-_EXTREMELY_RURAL = _GEOTYPES[-1]
-# Unit codes follow the units' values, which order a report's cells.
 _UNITS_BY_CODE = tuple(sorted(Unit, key=attrgetter("value")))
 _UNIT_ORDER = {u: i for i, u in enumerate(_UNITS_BY_CODE)}
 
@@ -265,24 +261,16 @@ def cost_ranking(table: CostTable) -> tuple[tuple, dict]:
 def gap_for_item(item: DemandItem, state: CoverageState, table: CostTable,
                  frame: GeoFrame, scenario: Scenario,
                  partitions: dict | None = None) -> list[GapCell]:
-    """Price one demand item into zero or more gap cells.
+    """Price one premise demand item into zero or more gap cells.
 
-    Transport items are priced per km. Premise items are reduced by the
-    footprint that already satisfies the demand and split over the
-    cheapest admissible routes. That split depends only on the cell,
-    its route rule, the state and the table, so it is kept in
-    `partitions`, which _price creates for one pricing call and hands to
-    every item it prices; with None it is computed for this item alone.
+    The item is reduced by the footprint that already satisfies the
+    demand and split over the cheapest admissible routes. That split
+    depends only on the cell, its route rule, the state and the table, so
+    it is kept in `partitions`, which _price creates for one pricing call
+    and hands to every item it prices; with None it is computed for this
+    item alone. Per-km transport items have no split: _price prices them.
     """
     country = frame.countries[frame.regions[item.region].country]
-
-    if item.unit is not _PREMISES:
-        if item.quantity <= 0:
-            return []
-        unit_cost = table.unit_cost(item.required_action, None, country.code)
-        return [GapCell(item.target, item.region, item.geotype, item.unit,
-                        item.required_action, item.quantity, unit_cost)]
-
     satisfying, routes, newbuild = _item_paths(item, country, scenario)
     # _item_paths returns constants, and only the five-G-only rule has no
     # routes, so "routes is UPGRADE_ROUTES" tells the three route dicts apart.
@@ -397,30 +385,41 @@ class CellTable:
         self.countries = [frame.regions[region].country for region in self.region_ids]
 
 
-def _gather(prepared: PreparedInputs, table: CellTable) -> None:
-    """Price the rows of table that prepared holds no cell for yet, at
-    prepared.table's costs: its costs in ranking order, gathered by each
-    row's position, then one GapCell per row, whose investment is the
-    row's entry in the investment column."""
-    start = len(prepared.cells)
-    if start == len(table.quantity):
+def _gather(prepared: PreparedInputs, table: CellTable, stage_rows: dict) -> None:
+    """Give prepared a cell for each row of stage_rows (stage -> rows) that
+    it holds none for, at prepared.table's costs: its costs in ranking
+    order, gathered by each row's position, then one GapCell per row, whose
+    investment is the row's entry in the investment column. Rows of stages
+    that prepared never runs keep None."""
+    cells, investment = prepared.cells, prepared.investment
+    rows = sorted({row for rows in stage_rows.values() for row in rows if cells[row] is None})
+    if not rows:
         return
+    # Runs made in the order that first priced them gather one span of
+    # rows each, which slices read fastest.
+    lo, hi = rows[0], rows[-1] + 1
+    span = hi - lo == len(rows)
+
+    def column(values):
+        return values[lo:hi] if span else map(values.__getitem__, rows)
+
     costs = list(map(prepared.table.adjusted.__getitem__, table.positions))
-    cells = list(map(
-        GapCell, map(_TARGETS.__getitem__, table.target[start:]),
-        map(table.region_ids.__getitem__, table.region[start:]),
-        map(_GEOTYPES.__getitem__, table.geotype[start:]),
-        map(_UNITS_BY_CODE.__getitem__, table.unit[start:]),
-        map(_ACTIONS.__getitem__, table.action[start:]), table.quantity[start:],
-        map(costs.__getitem__, table.rank[start:])))
-    prepared.cells += cells
-    prepared.investment += [cell.investment_eur for cell in cells]
+    for row, cell in zip(rows, map(
+            GapCell, map(_TARGETS.__getitem__, column(table.target)),
+            map(table.region_ids.__getitem__, column(table.region)),
+            map(GEOTYPES_DENSEST_FIRST.__getitem__, column(table.geotype)),
+            map(_UNITS_BY_CODE.__getitem__, column(table.unit)),
+            map(_ACTIONS.__getitem__, column(table.action)), column(table.quantity),
+            map(costs.__getitem__, column(table.rank)))):
+        cells[row] = cell
+        investment[row] = cell.investment_eur
 
 
 def _price(prepared: PreparedInputs, table: CellTable, scenario: Scenario,
            missing: dict) -> None:
     """Price the missing stages (stage -> its key) into table, and their
-    new rows' cells into prepared, which must hold a cell for every row.
+    new rows' cells into prepared, which must hold an entry (a cell or
+    None) for every row.
 
     Demands are built in one build_demands call; the composed T3 list
     comes from T3's demands. Per-km items take their action's unit cost;
@@ -428,7 +427,7 @@ def _price(prepared: PreparedInputs, table: CellTable, scenario: Scenario,
     call only: its stages share cells, but a later call prices only keys
     that no earlier call priced.
     """
-    frame, adjusted = prepared.frame, prepared.table.adjusted
+    frame, unit_cost = prepared.frame, prepared.table.unit_cost
     demands = tg.build_demands(frame, scenario, {_T3 if s is T3_COMPOSED else s for s in missing})
     if T3_COMPOSED in missing:
         demands[T3_COMPOSED] = dedup_t3_over_t4(demands[_T3], scenario)
@@ -454,14 +453,12 @@ def _price(prepared: PreparedInputs, table: CellTable, scenario: Scenario,
             elif item.quantity <= 0:
                 continue
             else:  # per km: one cell at the item's own action, no split
-                cost_key = (item.required_action, None, country)
-                if cost_key not in adjusted:
-                    raise CostTableError([cost_key])
-                priced = (GapCell(item.target, item.region, geotype, unit, item.required_action,
-                                  item.quantity, adjusted[cost_key]),)
+                action = item.required_action
+                priced = (GapCell(item.target, item.region, geotype, unit, action,
+                                  item.quantity, unit_cost(action, None, country)),)
                 cost_geotype = None
             t, g, u = _TARGET_ORDER[item.target], _GEOTYPE_ORDER[geotype], _UNIT_ORDER[unit]
-            item_code = (t * nregions + region) * len(_GEOTYPES) + g
+            item_code = (t * nregions + region) * len(GEOTYPES_DENSEST_FIRST) + g
             for cell in priced:
                 a = _ACTION_ORDER[cell.action]
                 code = (item_code * len(_ACTIONS) + a) * len(_UNITS_BY_CODE) + u
@@ -521,18 +518,15 @@ def _derive(table: CellTable, investment: list[float], stage_rows: dict, compose
     totals = {_TOTAL_KEYS[stage]: sum([investment[r] for r in rows])
               for stage, rows in stage_rows.items() if stage is not T3_COMPOSED}
     if T3_COMPOSED in stage_rows:
-        # compose_egs keeps T1's rows, then T2 urban's outside the capitals.
-        t1 = len(stage_rows[_T1])
-        kept = len(composed) - t1 - sum(len(stage_rows[s])
-                                         for s in (_T2_TRANSPORT, T3_COMPOSED, _T4))
-        totals["t2_after_t1"] = (sum([investment[r] for r in composed[t1:t1 + kept]])
+        t2_urban, target = _TARGET_ORDER[_T2_URBAN], table.target
+        totals["t2_after_t1"] = (sum([investment[r] for r in composed if target[r] == t2_urban])
                                  + totals["t2_transport"])
         totals["t3_composed"] = sum([investment[r] for r in stage_rows[T3_COMPOSED]])
         totals["egs_premises"] = totals["t1"] + totals["t2_after_t1"] + totals["t4"]
         totals["egs_premises_companies"] = totals["egs_premises"] + totals["t3_composed"]
         totals["egs_households"] = _households_total(cells, regions)
     country_totals = {code: 0.0 for code in sorted(frame.countries)}
-    by_geotype = [0.0] * len(_GEOTYPES)
+    by_geotype = [0.0] * len(GEOTYPES_DENSEST_FIRST)
     countries, region, geotype = table.countries, table.region, table.geotype
     for r in composed:
         amount = investment[r]
@@ -542,7 +536,7 @@ def _derive(table: CellTable, investment: list[float], stage_rows: dict, compose
     if not math.isfinite(total):
         raise DataError(f"the run's total investment overflows to {total}: some "
                         "quantity times its unit cost is too large for a float")
-    return totals, country_totals, dict(zip(_GEOTYPES, by_geotype)), total
+    return totals, country_totals, dict(zip(GEOTYPES_DENSEST_FIRST, by_geotype)), total
 
 
 def _households_total(cells: list[GapCell], regions: dict[str, RegionSummary]) -> float:
@@ -571,8 +565,9 @@ class PreparedInputs:
     once prepared, as every report run from these inputs shares them.
     shared: the CellTable of every cost table that ranks alike;
     prepare_inputs makes it the dataset's ("cells", relax, cost_ranking)
-    entry. cells and investment: one GapCell and its investment per row
-    of shared, at this table's costs; the reports share the cells.
+    entry. cells and investment: per row of shared, one GapCell and its
+    investment at this table's costs, or None for a row of a stage that no
+    run from these inputs has read yet; the reports share the cells.
     store: ("run", a run's stage keys) -> _derive's totals and the run
     total at this table. options: those prepare_inputs used. Inputs
     built or replaced by hand (with dataclasses.replace too) start with
@@ -648,14 +643,18 @@ def run_scenario(dataset, scenario: Scenario, options: RunOptions | None = None,
         stages.append(T3_COMPOSED)
     keys = {stage: (stage, *(getattr(scenario, f) for f in PRICED_KEYS[stage]))
             for stage in stages}
-    _gather(prepared, table)
     missing = {stage: key for stage, key in keys.items() if key not in table.stages}
+    grow = len(table.quantity) - len(prepared.cells)  # rows other inputs priced
+    prepared.cells += [None] * grow
+    prepared.investment += [None] * grow
     if missing:
         _price(prepared, table, scenario, missing)
 
     regions = prepared.regions or _region_summaries(dataset, frame, prepared.state)
     stage_rows = {stage: table.stages[key] for stage, key in keys.items()}
     run_key = ("run", tuple(keys.values()))
+    if run_key not in prepared.store:
+        _gather(prepared, table, stage_rows)
     composed = (table.runs[run_key][0] if run_key in table.runs
                 else _composed_rows(table, stage_rows, frame))
     cells = list(map(prepared.cells.__getitem__, composed))
@@ -682,7 +681,7 @@ def _region_summaries(dataset, frame: GeoFrame, state: CoverageState) -> dict[st
         region = frame.regions[region_id]
         to_cover = 0.0
         total = 0.0
-        for g in _GEOTYPES:
+        for g in GEOTYPES_DENSEST_FIRST:
             premises = frame.premises[(region_id, g)]
             total += premises
             footprint = state.footprint_over(region_id, g, _GIGABIT)

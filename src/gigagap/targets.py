@@ -52,9 +52,10 @@ class T4WirelessScope(ModelEnum):
     ALL_THREE_RURAL = "all_three_rural"
 
 
-# The demand builders run once per region and geotype. Python 3.11's
-# EnumType defines __getattr__, which makes reading a member such as
-# Geotype.URBAN slow, so the loops read these constants (as geo.classify does).
+# The demand builders here and gap's pricing loops run once per region and
+# geotype. Python 3.11's EnumType defines __getattr__, which makes reading a
+# member such as Geotype.URBAN slow, so the loops read these constants and
+# the ones below Unit (as geo.classify does).
 _URBAN, _SUBURBAN, _SEMI_RURAL, _RURAL, _EXTREMELY_RURAL = GEOTYPES_DENSEST_FIRST
 
 _WIRELESS_GEOTYPES = {

@@ -165,15 +165,26 @@ class TestGapForItem:
         assert all(c.quantity > 0 for c in cells)
         assert all(c.target is Target.T4 for c in cells)
 
-    def test_km_item_priced_flat(self, prepared):
+    def test_km_item_priced_flat(self, dataset):
+        # A per-km item has no split: a run prices it as one cell at its own
+        # action's per-km cost, and gap_for_item takes premise items only.
+        data = dataclasses.replace(dataset)
+        prepared = prepare_inputs(data)
+        report = run_scenario(data, BASELINE, prepared=prepared, operator=None,
+                              only_targets={Target.T2_TRANSPORT})
+        items = build_demands(prepared.frame, BASELINE, {Target.T2_TRANSPORT})
+        km = [(c.region, c.geotype, c.unit, c.action, c.quantity) for c in report.cells]
+        assert sorted(km, key=str) == sorted(
+            [(i.region, i.geotype, i.unit, i.required_action, i.quantity)
+             for i in items[Target.T2_TRANSPORT]], key=str)
+        for cell in report.cells:
+            country = prepared.frame.regions[cell.region].country
+            assert cell.unit_cost_eur == prepared.table.unit_cost(cell.action, None, country)
+        assert any(c.region == "FR102" and c.unit is Unit.KM_ROAD for c in report.cells)
         item = DemandItem(Target.T2_TRANSPORT, "FR102", Geotype.RURAL, Unit.KM_ROAD,
                           100.0, CostAction.FIVE_G_ROAD_NOMINAL_KM)
-        cells = gap_for_item(item, prepared.state, prepared.table, prepared.frame,
-                             BASELINE)
-        assert len(cells) == 1
-        assert cells[0].quantity == 100.0
-        assert cells[0].unit_cost_eur == prepared.table.unit_cost(
-            CostAction.FIVE_G_ROAD_NOMINAL_KM, None, "FR")
+        with pytest.raises(DataError, match="no path rules"):
+            gap_for_item(item, prepared.state, prepared.table, prepared.frame, BASELINE)
 
 
 class TestDedup:
@@ -747,6 +758,21 @@ class TestCellTable:
                     assert stage_cells(prepared, key) == stage_cells(fresh, key), (seed, key)
                 cold_keys |= fresh.shared.stages.keys()
             assert cold_keys == table.stages.keys()
+
+    def test_a_further_input_builds_cells_only_for_the_stages_it_runs(self, dataset):
+        data = dataclasses.replace(dataset)
+        base = prepare_inputs(data)
+        for name in ("baseline", "max", "min"):
+            run_scenario(data, SCENARIO_PRESETS[name], prepared=base)
+        options = RunOptions(sharing_fraction=0.12)
+        further = prepare_inputs(data, options)
+        assert further.shared is base.shared
+        run_scenario(data, SCENARIO_PRESETS["max"], options, prepared=further)
+        [run_key] = further.store
+        rows = {row for key in run_key[1] for row in further.shared.stages[key]}
+        assert len(further.cells) == len(base.cells)
+        assert {row for row, cell in enumerate(further.cells) if cell is not None} == rows
+        assert len(rows) < len(base.cells)
 
 
 class TestNettingPools:

@@ -133,16 +133,22 @@ def disaggregate_regions(intervals: dict[str, CoverageInterval],
     Raises
     ------
     InfeasibleCoverageError if no scalar k can reconcile the bands with
-    the national figure.
+    the national figure; DataError if the total weight is zero, or the
+    sum of the weights or of weight times density is not finite.
     """
     regions = sorted(intervals)
     total_w = sum(weights[r] for r in regions)
-    if not total_w > 0:
-        raise DataError("cannot disaggregate coverage: total premises weight is zero")
-
     low_sum = sum(weights[r] * intervals[r].low for r in regions)
     high_sum = sum(weights[r] * (intervals[r].high if densities[r] > 0 else intervals[r].low)
                    for r in regions)
+    # Weights are >= 0, so the band sums are at most total_w; past these
+    # two, the scan below would miss k.
+    for what, value in (("total premises weight", total_w), ("sum of premises weight "
+                        "times density", sum(weights[r] * densities[r] for r in regions))):
+        if not math.isfinite(value):
+            raise DataError(f"cannot disaggregate coverage: the {what} overflows to {value}")
+    if not total_w > 0:
+        raise DataError("cannot disaggregate coverage: total premises weight is zero")
     infeasible = InfeasibleCoverageError(
         country="?", technology="?", national=national,
         feasible_low=low_sum / total_w, feasible_high=high_sum / total_w,
@@ -244,6 +250,8 @@ def build_state(dataset, frame: GeoFrame, relax_intervals: float = 0.0) -> Cover
                 country=country, technology=tech.value, national=figure.coverage,
                 feasible_low=err.feasible_low, feasible_high=err.feasible_high,
             ) from None
+        except DataError as err:
+            raise DataError(f"{country}/{tech.value}: {err}") from None
         for region_id in sorted(points):
             share = frame.profiles[region_id].population_share
             for g, value in spread_over_geotypes(points[region_id], share).items():

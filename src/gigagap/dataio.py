@@ -781,5 +781,5 @@ def report_from_summary(path: str | Path) -> "GapReport":
                          geotype_totals={}, regions=regions)
     except KeyError as err:
         raise DataError(f"{path}: gap summary lacks {err.args[0]!r}") from None
-    except (AttributeError, TypeError, ValueError, OverflowError) as err:
+    except (AttributeError, TypeError, ValueError, OverflowError, RecursionError) as err:
         raise DataError(f"{path}: malformed gap summary: {err}") from None

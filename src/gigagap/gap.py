@@ -158,9 +158,24 @@ class RegionSummary:
     cohesion: bool | None = None
 
 
+@dataclass(frozen=True)
+class GroupFigures:
+    """What a run's breakdowns show besides its geotype totals, summed by
+    _derive in the same pass: per other breakdown dimension, each category
+    that has a row and its investment (a country's is its country total);
+    per geotype, premises quantity and premise investment; the run total.
+    Every report of one run key shares it."""
+
+    total: float
+    categories: dict[str, dict[str, float]]
+    premises_gap: dict[Geotype, float]
+    premise_investment: dict[Geotype, float]
+
+
 @dataclass
 class GapReport:
-    """Result of one scenario run."""
+    """Result of one scenario run. groups: set by run_scenario; None on a
+    report built by hand or read back from a summary."""
 
     scenario: Scenario | None
     scenario_name: str
@@ -171,6 +186,7 @@ class GapReport:
     geotype_totals: dict[Geotype, float]
     regions: dict[str, RegionSummary]
     operator: OperatorResult | None = None
+    groups: GroupFigures | None = None
 
     @property
     def headline_total_eur(self) -> float:
@@ -360,14 +376,21 @@ class CellTable:
     a run's stage keys) -> its composed rows, then the indices into them
     of its fixed and of its wireless cells in netting order. Every
     PreparedInputs whose table ranks alike prices the rows at its own
-    costs with one gather (_gather).
+    costs with one gather (_gather). countries, country_order (an index
+    into the sorted country codes), cohesive (into _COHESION) and
+    households_ratio: each region code's country and what _derive groups
+    its rows by, from regions, the frame's RegionSummary per region id.
     """
 
     positions: dict
     frame: InitVar[GeoFrame]
+    regions: InitVar[dict[str, RegionSummary]]
     region_ids: list[str] = field(init=False)
     region_codes: dict[str, int] = field(init=False)
-    countries: list[str] = field(init=False)  # each region code's country
+    countries: list[str] = field(init=False)
+    country_order: list[int] = field(init=False)
+    cohesive: list[int] = field(init=False)
+    households_ratio: list[float] = field(init=False)
     target: array = field(default_factory=partial(array, "B"))
     region: array = field(default_factory=partial(array, "I"))
     geotype: array = field(default_factory=partial(array, "B"))
@@ -379,10 +402,16 @@ class CellTable:
     stages: dict = field(default_factory=dict)
     runs: dict = field(default_factory=dict)
 
-    def __post_init__(self, frame: GeoFrame):
+    def __post_init__(self, frame: GeoFrame, regions: dict[str, RegionSummary]):
         self.region_ids = sorted(frame.regions)
         self.region_codes = {region: i for i, region in enumerate(self.region_ids)}
-        self.countries = [frame.regions[region].country for region in self.region_ids]
+        summaries = [regions[region] for region in self.region_ids]
+        self.countries = [s.country for s in summaries]
+        order = {code: i for i, code in enumerate(sorted(frame.countries))}
+        self.country_order = [order[code] for code in self.countries]
+        self.cohesive = [int(bool(s.cohesion)) for s in summaries]
+        self.households_ratio = [s.households / s.premises_total if s.premises_total > 0
+                                 else 1.0 for s in summaries]
 
 
 def _gather(prepared: PreparedInputs, table: CellTable, stage_rows: dict) -> None:
@@ -510,51 +539,74 @@ def _composed_rows(table: CellTable, stage_rows: dict, frame: GeoFrame) -> array
     return compose_egs(standalone, t3_composed, capitals, table.region)
 
 
+# Sorted categories; _URBAN: each geotype code's index into _URBAN_RURAL.
+_URBAN_RURAL, _COHESION = ("rural", "urban"), ("non_cohesion", "cohesion")
+_URBAN = tuple(int(g in (Geotype.URBAN, Geotype.SUBURBAN)) for g in GEOTYPES_DENSEST_FIRST)
+
+
 def _derive(table: CellTable, investment: list[float], stage_rows: dict, composed: array,
-            cells: list[GapCell], frame: GeoFrame, regions: dict[str, RegionSummary]) -> tuple:
-    """A run's totals, country and geotype totals and run total, each
-    summed in row order from the investment and code columns; cells are
-    the composed rows' cells, which the households view reads."""
+            frame: GeoFrame) -> tuple:
+    """A run's totals, country and geotype totals, run total and
+    GroupFigures, from its investment and code columns. The stage totals
+    and the run total are sums over their rows; every grouped figure is
+    added up with += in one pass over the composed rows, in row order."""
+    by_country = [0.0] * len(frame.countries)
+    by_geotype, premises_gap, premise_inv = ([0.0] * len(GEOTYPES_DENSEST_FIRST) for _ in range(3))
+    by_urban, by_cohesion = [0.0, 0.0], [0.0, 0.0]
+    households = premises = 0.0
+    t3, per_premise, urban = _TARGET_ORDER[_T3], _UNIT_ORDER[_PREMISES], _URBAN
+    country_order, cohesive, ratios = table.country_order, table.cohesive, table.households_ratio
+    region, geotype, target, unit, quantity = (table.region, table.geotype, table.target,
+                                               table.unit, table.quantity)
+    for r in composed:
+        amount, code, g = investment[r], region[r], geotype[r]
+        by_country[country_order[code]] += amount
+        by_geotype[g] += amount
+        by_urban[urban[g]] += amount
+        by_cohesion[cohesive[code]] += amount
+        if unit[r] == per_premise:
+            premises_gap[g] += quantity[r]
+            premise_inv[g] += amount
+            if target[r] != t3:
+                premises += amount
+                households += amount * ratios[code]
+        elif target[r] != t3:
+            premises += amount
+            households += amount
+    total = sum([investment[r] for r in composed])
+    if not math.isfinite(total):
+        raise DataError(f"the run's total investment overflows to {total}: some "
+                        "quantity times its unit cost is too large for a float")
+
+    def with_rows(sums: dict, of_row) -> dict:
+        # A sum that no row was added to stays 0.0: only a zero sum needs
+        # a look at the rows.
+        return {k: v for k, v in sums.items() if v != 0 or any(of_row(r) == k for r in composed)}
+
     totals = {_TOTAL_KEYS[stage]: sum([investment[r] for r in rows])
               for stage, rows in stage_rows.items() if stage is not T3_COMPOSED}
     if T3_COMPOSED in stage_rows:
-        t2_urban, target = _TARGET_ORDER[_T2_URBAN], table.target
+        t2_urban = _TARGET_ORDER[_T2_URBAN]
         totals["t2_after_t1"] = (sum([investment[r] for r in composed if target[r] == t2_urban])
                                  + totals["t2_transport"])
         totals["t3_composed"] = sum([investment[r] for r in stage_rows[T3_COMPOSED]])
         totals["egs_premises"] = totals["t1"] + totals["t2_after_t1"] + totals["t4"]
         totals["egs_premises_companies"] = totals["egs_premises"] + totals["t3_composed"]
-        totals["egs_households"] = _households_total(cells, regions)
-    country_totals = {code: 0.0 for code in sorted(frame.countries)}
-    by_geotype = [0.0] * len(GEOTYPES_DENSEST_FIRST)
-    countries, region, geotype = table.countries, table.region, table.geotype
-    for r in composed:
-        amount = investment[r]
-        country_totals[countries[region[r]]] += amount
-        by_geotype[geotype[r]] += amount
-    total = sum([investment[r] for r in composed])
-    if not math.isfinite(total):
-        raise DataError(f"the run's total investment overflows to {total}: some "
-                        "quantity times its unit cost is too large for a float")
-    return totals, country_totals, dict(zip(GEOTYPES_DENSEST_FIRST, by_geotype)), total
-
-
-def _households_total(cells: list[GapCell], regions: dict[str, RegionSummary]) -> float:
-    """Composed total with premise cells scaled down to households only.
-
-    T3 cells are excluded (they are the companies part); transport km
-    are kept as is."""
-    ratios = {rid: s.households / s.premises_total if s.premises_total > 0 else 1.0
-              for rid, s in regions.items()}
-    total = 0.0
-    for c in cells:
-        if c.target is _T3:
-            continue
-        if c.unit is _PREMISES:
-            total += c.investment_eur * ratios[c.region]
-        else:
-            total += c.investment_eur
-    return total
+        totals["egs_households"] = households
+    country_totals = dict(zip(sorted(frame.countries), by_country))
+    groups = GroupFigures(total, {
+        BreakdownDimension.COUNTRY: with_rows(country_totals,
+                                              lambda r: table.countries[region[r]]),
+        BreakdownDimension.URBAN_RURAL: with_rows(dict(zip(_URBAN_RURAL, by_urban)),
+                                                  lambda r: _URBAN_RURAL[urban[geotype[r]]]),
+        BreakdownDimension.COHESION: with_rows(dict(zip(_COHESION, by_cohesion)),
+                                               lambda r: _COHESION[cohesive[region[r]]]),
+        BreakdownDimension.HOUSEHOLDS_VS_PREMISES: {  # households: egs_households if composed
+            "households": households, "premises": premises, "premises_and_companies": total},
+    }, premises_gap=dict(zip(GEOTYPES_DENSEST_FIRST, premises_gap)),
+        premise_investment=dict(zip(GEOTYPES_DENSEST_FIRST, premise_inv)))
+    return (totals, country_totals, dict(zip(GEOTYPES_DENSEST_FIRST, by_geotype)), total,
+            groups)
 
 
 @dataclass
@@ -568,8 +620,8 @@ class PreparedInputs:
     entry. cells and investment: per row of shared, one GapCell and its
     investment at this table's costs, or None for a row of a stage that no
     run from these inputs has read yet; the reports share the cells.
-    store: ("run", a run's stage keys) -> _derive's totals and the run
-    total at this table. options: those prepare_inputs used. Inputs
+    store: ("run", a run's stage keys) -> _derive's totals, run total and
+    GroupFigures at this table. options: those prepare_inputs used. Inputs
     built or replaced by hand (with dataclasses.replace too) start with
     empty, private store and cells, and shared None until their first run.
     """
@@ -605,7 +657,7 @@ def prepare_inputs(dataset, options: RunOptions | None = None) -> PreparedInputs
     ranking, positions = cost_ranking(table)
     shared = store.get(("cells", relax, ranking))
     if shared is None:
-        shared = store["cells", relax, ranking] = CellTable(positions, frame)
+        shared = store["cells", relax, ranking] = CellTable(positions, frame, regions)
     prepared.shared = shared
     prepared.options = options
     return prepared
@@ -636,8 +688,9 @@ def run_scenario(dataset, scenario: Scenario, options: RunOptions | None = None,
                 raise DataError(f"options {name} is {given}, but the prepared inputs "
                                 f"were built with {built}")
     frame, table = prepared.frame, prepared.shared
+    regions = prepared.regions or _region_summaries(dataset, frame, prepared.state)
     if table is None:
-        table = prepared.shared = CellTable(cost_ranking(prepared.table)[1], frame)
+        table = prepared.shared = CellTable(cost_ranking(prepared.table)[1], frame, regions)
     stages = [t for t in Target if only_targets is None or t in only_targets]
     if only_targets is None:
         stages.append(T3_COMPOSED)
@@ -650,7 +703,6 @@ def run_scenario(dataset, scenario: Scenario, options: RunOptions | None = None,
     if missing:
         _price(prepared, table, scenario, missing)
 
-    regions = prepared.regions or _region_summaries(dataset, frame, prepared.state)
     stage_rows = {stage: table.stages[key] for stage, key in keys.items()}
     run_key = ("run", tuple(keys.values()))
     if run_key not in prepared.store:
@@ -662,13 +714,13 @@ def run_scenario(dataset, scenario: Scenario, options: RunOptions | None = None,
         table.runs[run_key] = (composed, *_netting_order(cells))
     if run_key not in prepared.store:
         prepared.store[run_key] = _derive(table, prepared.investment, stage_rows, composed,
-                                          cells, frame, regions)
-    totals, country_totals, geotype_totals, total = prepared.store[run_key]
+                                          frame)
+    totals, country_totals, geotype_totals, total, groups = prepared.store[run_key]
 
     report = GapReport(
         scenario=scenario, scenario_name=scenario_name, vintage=dataset.vintage,
         cells=cells, totals=dict(totals), country_totals=dict(country_totals),
-        geotype_totals=dict(geotype_totals), regions=regions,
+        geotype_totals=dict(geotype_totals), regions=regions, groups=groups,
     )
     if operator is None:
         return report
@@ -828,60 +880,35 @@ def breakdown(report: GapReport, dimension: str) -> list[dict]:
 
     Returns a list of rows (dicts) with at least category, investment
     and share keys. The geotype dimension adds the premises gap and the
-    average investment per premise."""
-    total = sum(c.investment_eur for c in report.cells)
+    average investment per premise. The rows format the geotype totals
+    and report.groups, and read no cells: a report without groups raises
+    DataError, as do an unknown dimension and, for cohesion, a region of
+    report.regions without a cohesion flag."""
+    if dimension not in BreakdownDimension.ALL:
+        raise DataError(f"unknown breakdown dimension {dimension!r}")
+    groups = report.groups
+    if groups is None:
+        raise DataError("the report has no breakdown figures: only run_scenario derives them")
+    total = groups.total
 
-    def rows_from(grouper) -> list[dict]:
-        inv: dict[str, float] = {}
-        for c in report.cells:
-            key = grouper(c)
-            inv[key] = inv.get(key, 0.0) + c.investment_eur
-        return [
-            {"category": k, "investment_eur": v,
-             "share": v / total if total > 0 else 0.0}
-            for k, v in sorted(inv.items())
-        ]
+    def row(category: str, amount: float) -> dict:
+        return {"category": category, "investment_eur": amount,
+                "share": amount / total if total > 0 else 0.0}
 
     if dimension == BreakdownDimension.GEOTYPE:
         rows = []
         for g in Geotype:
-            cells = [c for c in report.cells if c.geotype is g]
-            inv = sum(c.investment_eur for c in cells)
-            premise_cells = [c for c in cells if c.unit is _PREMISES]
-            premises_gap = sum(c.quantity for c in premise_cells)
-            premise_inv = sum(c.investment_eur for c in premise_cells)
-            rows.append({
-                "category": g.value,
-                "investment_eur": inv,
-                "share": inv / total if total > 0 else 0.0,
-                "premises_gap": premises_gap,
-                "eur_per_premise": premise_inv / premises_gap if premises_gap > 0 else 0.0,
-            })
+            premises_gap = groups.premises_gap[g]
+            rows.append({**row(g.value, report.geotype_totals[g]),
+                         "premises_gap": premises_gap,
+                         "eur_per_premise": (groups.premise_investment[g] / premises_gap
+                                             if premises_gap > 0 else 0.0)})
         return rows
-    if dimension == BreakdownDimension.URBAN_RURAL:
-        urban = {Geotype.URBAN, Geotype.SUBURBAN}
-        return rows_from(lambda c: "urban" if c.geotype in urban else "rural")
-    if dimension == BreakdownDimension.COUNTRY:
-        return rows_from(lambda c: report.regions[c.region].country)
     if dimension == BreakdownDimension.COHESION:
         for region_id, summary in report.regions.items():
             if summary.cohesion is None:
                 raise DataError(f"region {region_id} has no cohesion flag")
-        return rows_from(lambda c: "cohesion" if report.regions[c.region].cohesion
-                         else "non_cohesion")
-    if dimension == BreakdownDimension.HOUSEHOLDS_VS_PREMISES:
-        households = _households_total(report.cells, report.regions)
-        premises = sum(c.investment_eur for c in report.cells if c.target is not _T3)
-        everything = total
-        return [
-            {"category": "households", "investment_eur": households,
-             "share": households / everything if everything > 0 else 0.0},
-            {"category": "premises", "investment_eur": premises,
-             "share": premises / everything if everything > 0 else 0.0},
-            {"category": "premises_and_companies", "investment_eur": everything,
-             "share": 1.0 if everything > 0 else 0.0},
-        ]
-    raise DataError(f"unknown breakdown dimension {dimension!r}")
+    return [row(k, v) for k, v in sorted(groups.categories[dimension].items())]
 
 
 @dataclass

@@ -321,6 +321,38 @@ class TestRun:
         assert "total investment overflows" in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("scaled", [False, True], ids=["households-1e308", "scaled-2-1000"])
+    def test_overflowing_coverage_weight_is_domain_error(self, fixture_dir, tmp_path, capsys,
+                                                         scaled):
+        # Premises weight times density overflows in CY's reconciliation,
+        # either from one huge households count or from every count and
+        # extent scaled by 2^1000 (densities and shares stay the same).
+        data = tmp_path / "data"
+        shutil.copytree(fixture_dir, data)
+        columns = {"regions.csv": {"population", "area_km2", "households"},
+                   "localities.csv": {"population", "area_km2"},
+                   "enterprises.csv": {"count"}, "countries.csv": {"road_km", "rail_km"}}
+        for name, scale in columns.items() if scaled else [("regions.csv", {"households"})]:
+            with open(data / name, newline="", encoding="utf-8") as fh:
+                rows = list(csv.DictReader(fh))
+            for row in rows:
+                for column in scale:
+                    if scaled:
+                        row[column] = repr(float(row[column]) * 2.0 ** 1000)
+                    elif row["country"] == "CY":
+                        row[column] = "1e308"
+            with open(data / name, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+                writer.writeheader()
+                writer.writerows(rows)
+        assert cli.main(["validate", "--dataset", str(data)]) == 0
+        capsys.readouterr()
+        assert cli.main(["run", "--dataset", str(data), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: CY/DOCSIS_30: cannot disaggregate coverage: the sum of "
+                       "premises weight times density overflows to inf\n")
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize("flag, value", [
     ("--operator-fixed-per-year", "nan"),
@@ -480,6 +512,16 @@ class TestCompare:
         assert cli.main(["compare", *map(str, paths), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_deeply_nested_summary_is_domain_error(self, baseline_out, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        good = str(baseline_out[0] / "gap_summary.json")
+        for args in ((str(deep), good), (good, str(deep))):
+            assert cli.main(["compare", *args]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {deep}: malformed gap summary: ")
+            assert "Traceback" not in err
 
     def test_missing_summary_file_is_environment_error(self, tmp_path):
         proc = gigagap("compare", str(tmp_path / "a.json"), str(tmp_path / "b.json"))

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import random
 from array import array
@@ -19,7 +20,7 @@ from gigagap.costs import (
     apply_sharing,
 )
 from gigagap.coverage import CoverageState, TechClass
-from gigagap.dataio import validate_dataset
+from gigagap.dataio import validate_dataset, write_reports
 from gigagap.errors import DataError
 from gigagap.gap import (
     GapCell,
@@ -977,6 +978,59 @@ class TestBreakdowns:
     def test_unknown_dimension_rejected(self, baseline_report):
         with pytest.raises(DataError):
             breakdown(baseline_report, "constellation")
+
+    def test_rows_read_no_cells(self, baseline_report):
+        # The rows format figures derived once per run key: emptying the
+        # cells changes none, and a report built by hand has none.
+        emptied = dataclasses.replace(baseline_report, cells=[])
+        for dimension in gap.BreakdownDimension.ALL:
+            assert breakdown(emptied, dimension) == breakdown(baseline_report, dimension)
+        with pytest.raises(DataError, match="no breakdown figures"):
+            breakdown(synthetic_report(baseline_report.regions), "geotype")
+
+    @pytest.mark.parametrize("all_cohesion", [False, True])
+    @pytest.mark.parametrize("only_targets", [None, {Target.T2_URBAN}])
+    def test_rows_list_the_categories_that_have_cells(self, dataset, only_targets,
+                                                      all_cohesion):
+        # CY's unit costs are all zero, so its rows add up to 0.0 and still
+        # count. T2 urban has no rural cells, and with every region flagged
+        # no cell is outside the cohesion regions.
+        data = dataclasses.replace(dataset, cohesion=dict.fromkeys(dataset.cohesion, True)
+                                   ) if all_cohesion else dataclasses.replace(dataset)
+        prepared = prepare_inputs(data)
+        zeroed = dataclasses.replace(prepared, table=CostTable(base=prepared.table.base, adjusted={
+            key: 0.0 if key[2] == "CY" else v for key, v in prepared.table.adjusted.items()}))
+        report = run_scenario(data, BASELINE, operator=None, only_targets=only_targets,
+                              prepared=zeroed)
+        regions = report.regions
+        want = {
+            "country": {regions[c.region].country for c in report.cells},
+            "urban_rural": {"urban" if c.geotype in (URBAN, Geotype.SUBURBAN) else "rural"
+                            for c in report.cells},
+            "cohesion": {"cohesion" if regions[c.region].cohesion else "non_cohesion"
+                         for c in report.cells},
+        }
+        assert report.country_totals["CY"] == 0.0 and "CY" in want["country"]
+        assert ("rural" in want["urban_rural"]) == (only_targets is None)
+        assert ("non_cohesion" in want["cohesion"]) == (not all_cohesion)
+        for dimension, categories in want.items():
+            assert [row["category"] for row in breakdown(report, dimension)] == \
+                sorted(categories)
+
+    @pytest.mark.parametrize("seed", [None, 5, 11])
+    @pytest.mark.parametrize("preset", sorted(SCENARIO_PRESETS))
+    def test_summary_totals_are_its_breakdown_rows(self, dataset, tmp_path, seed, preset):
+        data = dataset if seed is None else random_dataset(seed)
+        report = run_scenario(data, SCENARIO_PRESETS[preset], scenario_name=preset)
+        write_reports(report, tmp_path)
+        summary = json.loads((tmp_path / "gap_summary.json").read_text(encoding="utf-8"))
+        rows = {dimension: {row["category"]: row["investment_eur"] for row in rows}
+                for dimension, rows in summary["breakdowns"].items()}
+        assert rows["geotype"] == summary["geotype_totals_eur"]
+        assert rows["country"] == {code: summary["country_totals_eur"][code]
+                                   for code in rows["country"]}
+        assert rows["households_vs_premises"]["households"] == \
+            summary["totals_eur"]["egs_households"]
 
 
 class TestEvolution:

@@ -55,11 +55,6 @@ class CostAction(ModelEnum):
     def per_km(self) -> bool:
         return self in TRANSPORT_ACTIONS
 
-    @property
-    def wireless(self) -> bool:
-        """True for 5G actions; everything else is fixed-network work."""
-        return self in _WIRELESS_ACTIONS
-
 
 TRANSPORT_ACTIONS = frozenset(a for a in CostAction if a.value.endswith("_KM"))
 _WIRELESS_ACTIONS = frozenset(a for a in CostAction if a.value.startswith("FIVE_G"))
@@ -193,6 +188,14 @@ def required_cells() -> list[tuple[CostAction, Geotype | None]]:
     return cells
 
 
+def missing_cells(references: list[CostReference]) -> list[str]:
+    """The required cells no reference covers, as ACTION/geotype or
+    ACTION/per-km. Validation and build_cost_table both ask this."""
+    covered = {(ref.action, ref.geotype) for ref in references}
+    return [f"{a.value}/{g.value if g else 'per-km'}"
+            for a, g in required_cells() if (a, g) not in covered]
+
+
 def build_cost_table(references: list[CostReference],
                      countries: dict,
                      price_index: dict[int, float],
@@ -203,16 +206,13 @@ def build_cost_table(references: list[CostReference],
     sharing. Every required cell must be covered by at least one
     reference; all gaps are reported together.
     """
+    missing = missing_cells(references)
+    if missing:
+        raise CostTableError(missing)
     cells = required_cells()
     grouped: dict[tuple[CostAction, Geotype | None], list[CostReference]] = {}
     for ref in references:
         grouped.setdefault((ref.action, ref.geotype), []).append(ref)
-
-    missing = [cell for cell in cells if cell not in grouped]
-    if missing:
-        raise CostTableError(
-            [f"{a.value}/{g.value if g else 'per-km'}" for a, g in missing]
-        )
 
     base = {}
     for cell in cells:

@@ -97,9 +97,6 @@ class CoverageState:
     vintage: int
     entries: dict[tuple[str, Geotype, TechClass], float] = field(default_factory=dict)
 
-    def get(self, region: str, geotype: Geotype, tech: TechClass) -> float:
-        return self.entries.get((region, geotype, tech), 0.0)
-
     def footprint_over(self, region: str, geotype: Geotype, techs) -> float:
         """Best coverage over a set of technologies (0 when none present)."""
         entries = self.entries

@@ -2,9 +2,8 @@
 
 A dataset is a directory of nine CSV files. Validation is exhaustive:
 every problem across every file is collected into one report instead
-of stopping at the first. The package also bundles two data sets: the
-EU-wide default cost references and a small fictional-but-realistic
-fixture used by the tests and as a demo.
+of stopping at the first. fixture_path names the bundled demo dataset,
+which the tests also use.
 """
 
 from __future__ import annotations
@@ -21,11 +20,11 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .costs import CostAction, CostReference, Granularity, PreparednessFactor
+from .costs import CostAction, CostReference, Granularity, PreparednessFactor, missing_cells
 from .coverage import (PUBLISHED_BANDS, CoverageInterval, NationalFigure, TechClass)
-from .errors import DataError, DatasetValidationError
-from .geo import (_GEOTYPE_ORDER, SIZE_CLASSES, Country, Degurba, FixedTechChoice, Geotype,
-                  LocalitySums, Region, classify, locality_sum_verdicts)
+from .errors import CostTableError, DataError, DatasetValidationError
+from .geo import (_GEOTYPE_ORDER, SIZE_CLASSES, Country, Degurba, Geotype, LocalitySums, Region,
+                  classify, locality_sum_verdicts)
 from .targets import _FLAG_TEXT, Target, Unit
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,23 +39,9 @@ DATASET_FILES = (
 )
 
 
-def _data_root() -> Path:
-    return Path(str(resources.files("gigagap"))) / "data"
-
-
 def fixture_path() -> Path:
     """Directory of the bundled demo dataset."""
-    return _data_root() / "fixture"
-
-
-def defaults_path() -> Path:
-    """Directory of the bundled default cost data."""
-    return _data_root() / "defaults"
-
-
-def eu_reference_path() -> Path:
-    """Directory of the bundled EU-28 reference tables."""
-    return _data_root() / "eu28"
+    return Path(str(resources.files("gigagap"))) / "data" / "fixture"
 
 
 @dataclass
@@ -262,12 +247,12 @@ def validate_dataset(path: str | Path) -> tuple[Dataset | None, ValidationReport
         report.error(str(path), 0, "dataset directory not found")
         return None, report
 
-    countries = _load_countries(path, report)
-    regions, rejected = _load_regions(path, report, countries)
+    countries, rejected_countries = _load_countries(path, report)
+    regions, rejected = _load_regions(path, report, countries, rejected_countries)
     localities = _load_localities(path, report, regions, rejected)
-    enterprises = _load_enterprises(path, report, countries)
+    enterprises = _load_enterprises(path, report, countries, rejected_countries)
     intervals = _load_intervals(path, report, regions, rejected)
-    national = _load_national(path, report, countries)
+    national = _load_national(path, report, countries, rejected_countries)
     cost_refs = _load_cost_references(path, report)
     price_index = _load_price_index(path, report)
     cohesion = _load_cohesion(path, report, regions, rejected)
@@ -307,10 +292,12 @@ def load_dataset(path: str | Path) -> Dataset:
 # Each loader's parse passes its record's fields positionally, in the order
 # of the file's columns: keyword arguments cost more per row.
 
-def _load_regions(path, report, countries) -> tuple[dict[str, Region], set[str]]:
-    """The valid regions, and the ids of rows rejected for a bad field or an
-    unknown country. A row elsewhere that names a rejected region is
-    dropped without an error of its own: the region's is enough."""
+def _load_regions(path, report, countries,
+                  rejected_countries) -> tuple[dict[str, Region], set[str]]:
+    """The valid regions, and the ids of rows rejected for a bad field, an
+    unknown country or a rejected one. A row elsewhere that names a
+    rejected region or country is dropped without an error of its own:
+    the rejected row's is enough."""
     named = set()
 
     def parse(id, country, population, area_km2, households):
@@ -318,7 +305,7 @@ def _load_regions(path, report, countries) -> tuple[dict[str, Region], set[str]]
         named.add(id)
         region = Region(id, country, _parse_float(population, "population"),
                         _parse_float(area_km2, "area_km2"), _parse_float(households, "households"))
-        if country not in countries:
+        if country not in countries and country not in rejected_countries:
             raise DataError(f"region {id} references unknown country {country}")
         return region
 
@@ -326,6 +313,8 @@ def _load_regions(path, report, countries) -> tuple[dict[str, Region], set[str]]
     cols = ("id", "country", "population", "area_km2", "households")
     for lineno, region in _parsed_rows(path, report, "regions.csv", cols, parse,
                                        attrgetter("id"), "region id {0.id}"):
+        if region.country in rejected_countries:
+            continue
         if region.population == 0 and region.households > 0:
             report.warning("regions.csv", lineno,
                            f"region {region.id} has households but zero population")
@@ -366,22 +355,25 @@ _PREP_COLUMNS = (("prep_geo", "geographic"), ("prep_housing", "housing"),
                  ("prep_regulation", "regulation"))
 
 
-def _load_countries(path, report) -> dict[str, Country]:
+def _load_countries(path, report) -> tuple[dict[str, Country], set[str]]:
+    """The valid countries, and the codes of rows rejected for a bad field."""
+    named = set()
+
     def parse(code, labour_index, prep_geo, prep_housing, prep_regulation,
-              dominant_fixed_tech, road_km, rail_km, capital_region, docsis_band, fttp_band):
+              road_km, rail_km, capital_region, docsis_band, fttp_band):
         code = code.strip()
+        named.add(code)
         prep = PreparednessFactor(code, _parse_float(prep_geo, "prep_geo"),
                                   _parse_float(prep_housing, "prep_housing"),
                                   _parse_float(prep_regulation, "prep_regulation"))
         return Country(
             code, _parse_float(labour_index, "labour_index"), prep,
-            _parse_enum(dominant_fixed_tech.strip(), FixedTechChoice, "dominant_fixed_tech"),
             _parse_float(road_km, "road_km"), _parse_float(rail_km, "rail_km"),
             capital_region.strip(), docsis_band.strip() or None, fttp_band.strip() or None)
 
     out: dict[str, Country] = {}
     cols = ("code", "labour_index", "prep_geo", "prep_housing", "prep_regulation",
-            "dominant_fixed_tech", "road_km", "rail_km", "capital_region")
+            "road_km", "rail_km", "capital_region")
     for lineno, country in _parsed_rows(path, report, "countries.csv", cols, parse,
                                         attrgetter("code"), "country code {0.code}",
                                         optional=("docsis_band", "fttp_band")):
@@ -391,10 +383,11 @@ def _load_countries(path, report) -> dict[str, Country]:
                 report.warning("countries.csv", lineno,
                                f"{col}={v} is not one of the usual -0.10/0/0.10 steps")
         out[country.code] = country
-    return out
+    return out, named - out.keys()
 
 
-def _load_enterprises(path, report, countries) -> dict[tuple[str, str], float]:
+def _load_enterprises(path, report, countries,
+                      rejected_countries) -> dict[tuple[str, str], float]:
     def parse(country, size_class, count):
         size_class = size_class.strip()
         if size_class not in SIZE_CLASSES:
@@ -410,8 +403,9 @@ def _load_enterprises(path, report, countries) -> dict[tuple[str, str], float]:
             path, report, "enterprises.csv", ("country", "size_class", "count"), parse,
             itemgetter(0), "enterprise row for {0[0][0]}/{0[0][1]}"):
         if key[0] not in countries:
-            report.error("enterprises.csv", lineno,
-                         f"enterprise counts reference unknown country {key[0]}")
+            if key[0] not in rejected_countries:
+                report.error("enterprises.csv", lineno,
+                             f"enterprise counts reference unknown country {key[0]}")
             continue
         out[key] = count
     return out
@@ -443,7 +437,7 @@ def _load_intervals(path, report, regions, rejected) -> list[CoverageInterval]:
     return out
 
 
-def _load_national(path, report, countries) -> list[NationalFigure]:
+def _load_national(path, report, countries, rejected_countries) -> list[NationalFigure]:
     """The national figures of known countries."""
     def parse(country, technology, coverage, vintage):
         return NationalFigure(
@@ -456,8 +450,9 @@ def _load_national(path, report, countries) -> list[NationalFigure]:
                                    attrgetter("country", "technology"),
                                    "national figure for {0.country}/{0.technology.value}"):
         if nf.country not in countries:
-            report.error("coverage_national.csv", lineno,
-                         f"national figure references unknown country {nf.country}")
+            if nf.country not in rejected_countries:
+                report.error("coverage_national.csv", lineno,
+                             f"national figure references unknown country {nf.country}")
             continue
         out.append(nf)
     return out
@@ -559,6 +554,12 @@ def _cross_checks(report, regions, rejected, localities, countries,
             report.error("coverage_intervals.csv", 0,
                          f"{pair[0]}/{pair[1].value}: national figure present but no intervals")
 
+    # A rejected row's cell is not reported again as uncovered.
+    if not any(e.file == "cost_references.csv" for e in report.errors):
+        missing = missing_cells(cost_refs)
+        if missing:
+            report.error("cost_references.csv", 0, str(CostTableError(missing)))
+
     years_needed = {ref.price_year for ref in cost_refs}
     for year in sorted(years_needed - set(price_index)):
         report.error("price_index.csv", 0,
@@ -566,64 +567,6 @@ def _cross_checks(report, regions, rejected, localities, countries,
 
     for region_id in sorted(set(regions) - set(cohesion)):
         report.warning("cohesion.csv", 0, f"region {region_id} has no cohesion flag")
-
-
-# ---------------------------------------------------------------------------
-# bundled data
-
-def _load_bundled(load):
-    report = ValidationReport(dataset="defaults")
-    value = load(defaults_path(), report)
-    if not report.ok:  # bundled data must parse
-        raise DataError("; ".join(str(e) for e in report.errors))
-    return value
-
-
-def default_cost_references() -> list[CostReference]:
-    """EU-wide default unit cost references (2019 prices)."""
-    return _load_bundled(_load_cost_references)
-
-
-def default_price_index() -> dict[int, float]:
-    return _load_bundled(_load_price_index)
-
-
-def _eu_rows(filename: str):
-    """Rows of one bundled EU-28 table, as dicts."""
-    with open(eu_reference_path() / filename, newline="", encoding="utf-8") as fh:
-        yield from csv.DictReader(fh)
-
-
-def eu_preparedness_table() -> list[dict]:
-    """Bundled national preparedness components with their published sums."""
-    return [{
-        "country": row["country"],
-        "factor": PreparednessFactor(
-            country=row["country"],
-            geographic=float(row["geographic"]),
-            housing=float(row["housing"]),
-            regulation=float(row["regulation"]),
-        ),
-        "published_combined": float(row["combined"]),
-    } for row in _eu_rows("preparedness.csv")]
-
-
-def eu_transport_table() -> dict[str, tuple[float, float]]:
-    """Bundled national road and rail lengths outside urban areas (km)."""
-    return {row["country"]: (float(row["road_km"]), float(row["rail_km"]))
-            for row in _eu_rows("transport.csv")}
-
-
-def eu_tech_choices() -> dict[str, FixedTechChoice]:
-    """Bundled dominant fixed-technology choice per country."""
-    return {row["country"]: FixedTechChoice(row["dominant_fixed_tech"])
-            for row in _eu_rows("tech_choices.csv")}
-
-
-def eu_cable_fibre_bands() -> dict[str, tuple[str, str]]:
-    """Bundled DOCSIS and fibre deployment bands per country."""
-    return {row["country"]: (row["docsis_band"], row["fttp_band"])
-            for row in _eu_rows("cable_fibre.csv")}
 
 
 # ---------------------------------------------------------------------------

@@ -53,10 +53,6 @@ class Geotype(ModelEnum):
     RURAL = "rural"
     EXTREMELY_RURAL = "extremely_rural"
 
-    @property
-    def order(self) -> int:
-        return _GEOTYPE_ORDER[self]
-
 
 _GEOTYPE_ORDER = {g: i for i, g in enumerate(Geotype)}
 
@@ -69,14 +65,6 @@ class Degurba(ModelEnum):
     URBAN = "urban"
     SUBURBAN = "suburban"
     RURAL = "rural"
-
-
-class FixedTechChoice(ModelEnum):
-    """Dominant fixed-network strategy of a country's market."""
-
-    FTTH = "FTTH"
-    FTTB_C = "FTTB_C"
-    MIXED_URBAN_FTTH = "MIXED_URBAN_FTTH"
 
 
 # Ordered coverage bands used to compare cable against fibre deployment.
@@ -138,7 +126,6 @@ class Country:
     code: str
     labour_index: float
     preparedness: "object"  # costs.PreparednessFactor; kept loose to avoid a cycle
-    dominant_fixed_tech: FixedTechChoice
     road_km: float
     rail_km: float
     capital_region: str

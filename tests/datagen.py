@@ -14,13 +14,12 @@ from pathlib import Path
 
 from gigagap.coverage import PUBLISHED_BANDS, CoverageInterval, NationalFigure, TechClass
 from gigagap.costs import PreparednessFactor
-from gigagap.dataio import Dataset, default_cost_references, default_price_index
+from gigagap.dataio import Dataset, fixture_path, load_dataset
 from gigagap.geo import (
     COVERAGE_BAND_ORDER,
     SIZE_CLASSES,
     Country,
     Degurba,
-    FixedTechChoice,
     Geotype,
     LocalitySums,
     Region,
@@ -71,16 +70,21 @@ def random_dataset(seed: int, n_countries: int = 3) -> Dataset:
                                   households=population * rng.uniform(0.38, 0.50))
             member_ids.append(rid)
 
+        labour_index = rng.uniform(0.7, 1.4)
+        preparedness = PreparednessFactor(
+            country=code,
+            geographic=rng.choice(_PREP_STEPS),
+            housing=rng.choice(_PREP_STEPS),
+            regulation=rng.choice(_PREP_STEPS),
+        )
+        # Countries once drew one of three fixed-technology choices here. The
+        # draw stays, using the stream as that choice did, so that each seed
+        # still gives the same dataset.
+        rng.randrange(3)
         countries[code] = Country(
             code=code,
-            labour_index=rng.uniform(0.7, 1.4),
-            preparedness=PreparednessFactor(
-                country=code,
-                geographic=rng.choice(_PREP_STEPS),
-                housing=rng.choice(_PREP_STEPS),
-                regulation=rng.choice(_PREP_STEPS),
-            ),
-            dominant_fixed_tech=rng.choice(list(FixedTechChoice)),
+            labour_index=labour_index,
+            preparedness=preparedness,
             road_km=rng.uniform(0, 15_000),
             rail_km=rng.choice([0.0, rng.uniform(0, 40_000)]),
             capital_region=member_ids[0],
@@ -104,8 +108,8 @@ def random_dataset(seed: int, n_countries: int = 3) -> Dataset:
         enterprises=enterprises,
         coverage_intervals=intervals,
         coverage_national=national,
-        cost_references=default_cost_references(),
-        price_index=default_price_index(),
+        cost_references=load_dataset(fixture_path()).cost_references,
+        price_index={2019: 1.0},
         cohesion={rid: rng.random() < 0.4 for rid in regions},
     )
 
@@ -174,10 +178,9 @@ def write_dataset(ds: Dataset, path) -> None:
         "localities.csv": (("id", "region", "population", "area_km2", "degurba"), localities),
         "countries.csv": (
             ("code", "labour_index", "prep_geo", "prep_housing", "prep_regulation",
-             "dominant_fixed_tech", "road_km", "rail_km", "capital_region", "docsis_band",
-             "fttp_band"),
+             "road_km", "rail_km", "capital_region", "docsis_band", "fttp_band"),
             [(c.code, c.labour_index, c.preparedness.geographic, c.preparedness.housing,
-              c.preparedness.regulation, c.dominant_fixed_tech, c.road_km, c.rail_km,
+              c.preparedness.regulation, c.road_km, c.rail_km,
               c.capital_region, c.docsis_band, c.fttp_band) for c in ds.countries.values()]),
         "enterprises.csv": (("country", "size_class", "count"),
                             [(code, sc, n) for (code, sc), n in ds.enterprises.items()]),

